@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .intmatrix import (
-    IntMatrix,
-    hermite_normal_form,
-    integer_kernel,
-    smith_normal_form,
-    solve_in_column_span,
-)
+from .intmatrix import IntMatrix, Lattice, integer_kernel, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -164,18 +158,13 @@ def lattice_quotient(outer: IntMatrix, inner: IntMatrix) -> FinAbGroup:
     Both spans must have full rank in the ambient space and the inner
     span must lie inside the outer one.
     """
-    outer_basis = hermite_normal_form(outer).H
-    cols = [
-        outer_basis.col(j)
-        for j in range(outer_basis.cols)
-        if any(outer_basis[i, j] != 0 for i in range(outer_basis.rows))
-    ]
-    basis = IntMatrix.from_cols(cols)
-    if basis.cols != outer.rows:
+    lattice = Lattice(outer)
+    if lattice.rank != outer.rows:
         raise ValueError("outer lattice does not have full rank")
+    # Coordinates over the outer lattice's Hermite basis, one HNF for all.
     coords = []
     for j in range(inner.cols):
-        x = solve_in_column_span(basis, inner.col(j))
+        x = lattice.hermite_coords(inner.col(j))
         if x is None:
             raise ValueError("inner lattice not contained in outer lattice")
         coords.append(x)

@@ -246,9 +246,6 @@ class OrbitLabeling:
     def flipped_count(self) -> int:
         return sum(1 for orb in self.pinned if orb.flipped)
 
-    def is_uniform(self) -> bool:
-        return self.flipped_count == 0
-
 
 def _ref1(i: int, n: int) -> int:
     # 0-based image of the 1-based rule i -> n+1-i

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .abelian import (
+    Cokernel,
     FinAbGroup,
     GroupHom,
     cokernel,
@@ -32,7 +34,14 @@ from .abelian import (
     is_isomorphic,
     kernel_of_hom,
 )
-from .actions import DihedralAction, OrbitLabeling, classify_dihedral_orbits
+from .actions import (
+    DihedralAction,
+    OrbitLabeling,
+    _ref1,
+    _ref2,
+    _ref3,
+    classify_dihedral_orbits,
+)
 from .divisors import (
     CriticalGroupData,
     Divisor,
@@ -41,7 +50,7 @@ from .divisors import (
     quotient_by_subgroup,
     subgroup_generated,
 )
-from .intmatrix import IntMatrix, lattice_contains
+from .intmatrix import IntMatrix, Lattice
 from .multigraph import Multigraph
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
@@ -163,17 +172,28 @@ class DecompositionContext:
             raise ValueError("operation requires a degree-zero divisor")
         return vals
 
+    # -- groups shared by several checks, each computed once ---------------
 
-def _ref1(i: int, n: int) -> int:
-    return (n - 1 - i) % n
+    @cached_property
+    def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
+        """``pullback_subgroup``: the image of all three pullbacks."""
+        return pullback_subgroup(self)
 
+    @cached_property
+    def pullback_quotient(self) -> FinAbGroup:
+        """The critical group modulo the image of all three pullbacks."""
+        gens = self.all_pullback_generators()
+        return quotient_by_subgroup(self.cg, [d.values for d in gens])
 
-def _ref2(i: int, n: int) -> int:
-    return (n - i) % n
+    @cached_property
+    def pullback_kernel(self) -> FinAbGroup:
+        """Kernel of the natural map from the three quotient groups."""
+        return kernel_of_hom(_pullback_hom(self, (1, 2, 3)))
 
-
-def _ref3(i: int, n: int) -> int:
-    return (n + 1 - i) % n
+    @cached_property
+    def divisor_quotient(self) -> Cokernel:
+        """Degree-zero divisors (root dropped) modulo pullback sums."""
+        return cokernel(triple_sum_matrix(self))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +334,18 @@ def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
 
 
 def _assemble(ctx: DecompositionContext, fill) -> list[int]:
-    """Build divisor values orbit by orbit; fill(kind, orb) returns the
-    per-index values for one row/strand."""
+    """Build divisor values orbit by orbit; fill(kind, j, orb) returns
+    the per-index values for the j-th free orbit's strands or the j-th
+    pinned row."""
     vals = [0] * ctx.graph.vertex_count
-    for orb in ctx.labeling.free:
-        xvals, yvals = fill("free", orb)
+    for j, orb in enumerate(ctx.labeling.free):
+        xvals, yvals = fill("free", j, orb)
         for i, v in enumerate(orb.xrow):
             vals[v] = xvals[i]
         for i, v in enumerate(orb.yrow):
             vals[v] = yvals[i]
-    for orb in ctx.labeling.pinned:
-        zvals = fill("pinned", orb)
+    for j, orb in enumerate(ctx.labeling.pinned):
+        zvals = fill("pinned", j, orb)
         for i, v in enumerate(orb.row):
             vals[v] = zvals[i]
     return vals
@@ -356,8 +377,7 @@ def split_pair_sum(
     else:
         const_pin[0] = balance // n  # even because balance = 0 mod 2n
 
-    def first_part(kind, orb):
-        j = (ctx.labeling.free.index(orb) if kind == "free" else ctx.labeling.pinned.index(orb))
+    def first_part(kind, j, orb):
         if kind == "free":
             a = const_free[j]
             dx = [vals[v] for v in orb.xrow]
@@ -470,11 +490,9 @@ def split_triple_sum(
         else:
             r[flipped_idx[0]] = -excess
 
-    def rotation_part(kind, orb):
+    def rotation_part(kind, j, orb):
         if kind == "free":
-            j = lab.free.index(orb)
             return [p[j]] * n, [q[j]] * n
-        j = lab.pinned.index(orb)
         return [r[j]] * n
 
     third = _assemble(ctx, rotation_part)
@@ -551,47 +569,42 @@ def predicted_quotient(ctx: DecompositionContext) -> FinAbGroup | None:
 
 def divisors_mod_pullback_sums(ctx: DecompositionContext) -> FinAbGroup:
     """Degree-zero divisors modulo the pullback-sum lattice."""
-    return cokernel(triple_sum_matrix(ctx)).group
+    return ctx.divisor_quotient.group
 
 
 def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
     """Firing lattice modulo its symmetry-respecting sublattice.
 
-    The sublattice is generated by firing any single pinned vertex, any
-    strand pair (one vertex from each strand of a free orbit), and the
-    whole of either strand of a free orbit at once.
+    The sublattice is L·S, where S is the lattice of symmetric firing
+    scripts: fire any single pinned vertex, any strand pair (one vertex
+    from each strand of a free orbit), or the whole of either strand of
+    a free orbit at once.  The graph is connected, so ker L = Z·1 and
+    s -> L·s induces
+
+        L·Z^V / L·S  ≅  Z^V / (S + Z·1),
+
+    the cokernel of the script generators and the all-ones vector; no
+    Laplacian solve is needed.  Of the n^2 strand pairs of a free orbit
+    the 2n - 1 that meet x_0 or y_0 suffice, since
+    e_{x_i} + e_{y_j} = (e_{x_i} + e_{y_0}) + (e_{x_0} + e_{y_j}) - (e_{x_0} + e_{y_0}).
     """
-    from .intmatrix import solve_in_column_span
-    from .multigraph import laplacian
-
-    lap = laplacian(ctx.graph)
-    n = ctx.n
-    root = ctx.cg.root
-
-    def dropped(col: list[int]) -> list[int]:
-        return col[:root] + col[root + 1 :]
-
     nv = ctx.graph.vertex_count
-    gens: list[list[int]] = []
-    for orb in ctx.labeling.pinned:
-        for v in orb.row:
-            gens.append(dropped(lap.col(v)))
-    for orb in ctx.labeling.free:
-        xcols = [lap.col(v) for v in orb.xrow]
-        ycols = [lap.col(v) for v in orb.yrow]
-        for cx in xcols:
-            for cy in ycols:
-                gens.append(dropped([a + b for a, b in zip(cx, cy)]))
-        for cols in (xcols, ycols):
-            gens.append(dropped([sum(col[k] for col in cols) for k in range(nv)]))
 
-    coords = []
-    for gvec in gens:
-        sol = solve_in_column_span(ctx.cg.reduced, gvec)
-        if sol is None:
-            raise AssertionError("symmetric firing is not in the firing lattice")
-        coords.append(sol)
-    return cokernel(IntMatrix.from_cols(coords)).group
+    def script(*fired: int) -> list[int]:
+        vec = [0] * nv
+        for v in fired:
+            vec[v] += 1
+        return vec
+
+    gens = [[1] * nv]
+    for orb in ctx.labeling.pinned:
+        gens.extend(script(v) for v in orb.row)
+    for orb in ctx.labeling.free:
+        xs, ys = orb.xrow, orb.yrow
+        gens += [script(*xs), script(*ys)]
+        gens.extend(script(xs[0], y) for y in ys)
+        gens.extend(script(x, ys[0]) for x in xs[1:])
+    return cokernel(IntMatrix.from_cols(gens)).group
 
 
 def pullback_subgroup(ctx: DecompositionContext) -> tuple[FinAbGroup, list[Divisor]]:
@@ -704,10 +717,9 @@ def check_kernel_structure(ctx: DecompositionContext) -> CheckResult:
     """Kernel of the natural map from the direct sum of the three
     quotient critical groups into the critical group."""
     notes: list[str] = []
-    hom = _pullback_hom(ctx, (1, 2, 3))
-    computed = kernel_of_hom(hom)
+    computed = ctx.pullback_kernel
     predicted = predicted_kernel(ctx)
-    j, _ = pullback_subgroup(ctx)
+    j, _ = ctx.pullback_image
     prod_h = 1
     for cgq in ctx.cg_h:
         prod_h *= cgq.group.order
@@ -737,10 +749,8 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     two ways: directly from augmented relations, and through the
     divisor-class quotient divided by the image of the firing lattice."""
     notes: list[str] = []
-    gens = ctx.all_pullback_generators()
-    direct = quotient_by_subgroup(ctx.cg, [d.values for d in gens])
-
-    dp = cokernel(triple_sum_matrix(ctx))
+    direct = ctx.pullback_quotient
+    dp = ctx.divisor_quotient
     if dp.moduli:
         cols = [list(dp.project(ctx.cg.reduced.col(j))) for j in range(ctx.cg.reduced.cols)]
         rel = IntMatrix.diagonal(list(dp.moduli))
@@ -809,8 +819,8 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
     big = ctx.cg.group.order
     hs = [cgq.group.order for cgq in ctx.cg_h]
     ghat = ctx.cg_hat.group.order
-    j, gens = pullback_subgroup(ctx)
-    q = quotient_by_subgroup(ctx.cg, [d.values for d in gens])
+    j, gens = ctx.pullback_image
+    q = ctx.pullback_quotient
     composed_ok = big == j.order * q.order
     if not composed_ok:
         notes.append(f"|K| != |image|*|quotient|: {big} != {j.order}*{q.order}")
@@ -859,10 +869,8 @@ def check_tree_case(ctx: DecompositionContext) -> CheckResult:
     tree = ctx.qhat.quotient
     if len(tree.edges) != tree.vertex_count - 1 or not tree.is_connected():
         raise ValueError("full quotient is not a tree")
-    hom = _pullback_hom(ctx, (1, 2, 3))
-    ker = kernel_of_hom(hom)
-    gens = ctx.all_pullback_generators()
-    quot = quotient_by_subgroup(ctx.cg, [d.values for d in gens])
+    ker = ctx.pullback_kernel
+    quot = ctx.pullback_quotient
     passed = ker.is_trivial() and is_isomorphic(quot, FinAbGroup.cyclic(ctx.n))
     return CheckResult(
         name="tree_case",
@@ -899,8 +907,8 @@ def membership_sweep(
     rng = random.Random(seed)
     pair_hits = triple_hits = 0
     mismatches: list[str] = []
-    pair_m = pair_sum_matrix(ctx) if oracle else None
-    triple_m = triple_sum_matrix(ctx) if oracle else None
+    pair_lat = Lattice(pair_sum_matrix(ctx)) if oracle else None
+    triple_lat = Lattice(triple_sum_matrix(ctx)) if oracle else None
     for k in range(trials):
         d = random_degree_zero(ctx.graph, rng)
         in_pair = pair_sum_conditions(ctx, d.values)
@@ -919,9 +927,9 @@ def membership_sweep(
             mismatches.append(f"trial {k}: principality vs projection mismatch")
         if oracle:
             dropped = ctx.cg._dropped(d.values)
-            if in_pair != lattice_contains(pair_m, dropped):
+            if in_pair != pair_lat.contains(dropped):
                 mismatches.append(f"trial {k}: pair lattice oracle disagrees")
-            if in_triple != lattice_contains(triple_m, dropped):
+            if in_triple != triple_lat.contains(dropped):
                 mismatches.append(f"trial {k}: triple lattice oracle disagrees")
             for i in (1, 2, 3):
                 if pullback_conditions(ctx, d.values, i) != is_pullback(

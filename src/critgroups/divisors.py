@@ -10,10 +10,11 @@ membership test rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .abelian import Cokernel, FinAbGroup, cokernel, lattice_quotient
-from .intmatrix import IntMatrix, lattice_contains
+from .intmatrix import IntMatrix, Lattice
 from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
 
 
@@ -90,7 +91,7 @@ def apply_firing(d: Divisor, s: FiringScript) -> Divisor:
 class CriticalGroupData:
     """Critical group of a connected multigraph with projection data.
 
-    The root vertex is the lowest index; droping its coordinate turns
+    The root vertex is the lowest index; dropping its coordinate turns
     degree-zero divisors into arbitrary integer vectors on the other
     vertices, and the group is the cokernel of the reduced Laplacian.
     """
@@ -112,6 +113,11 @@ class CriticalGroupData:
     @property
     def moduli(self) -> tuple[int, ...]:
         return self.group.factors
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The firing lattice (reduced), Hermite-reduced on first use."""
+        return Lattice(self.reduced)
 
     def _dropped(self, d: Sequence[int]) -> list[int]:
         vals = list(d)
@@ -162,7 +168,7 @@ def is_principal(cg: CriticalGroupData, d: Sequence[int]) -> bool:
     dropped = cg._dropped(d)
     if not dropped:
         return True
-    return lattice_contains(cg.reduced, dropped)
+    return cg.lattice.contains(dropped)
 
 
 def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:

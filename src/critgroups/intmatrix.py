@@ -67,9 +67,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.col(j) for j in range(self.cols)])
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
@@ -304,14 +301,12 @@ class HnfResult:
     def pivots(self) -> list[tuple[int, int]]:
         """(row, col) of each pivot."""
         out = []
-        r = -1
         for j in range(self.H.cols):
             col = self.H.col(j)
             nz = [i for i, x in enumerate(col) if x != 0]
             if not nz:
                 break
             out.append((nz[0], j))
-            r = nz[0]
         return out
 
 
@@ -373,36 +368,64 @@ def hermite_normal_form(m: IntMatrix) -> HnfResult:
     return HnfResult(H=h, T=IntMatrix.from_rows(t) if cols else IntMatrix(0, 0, []))
 
 
-def solve_in_column_span(m: IntMatrix, vec: Sequence[int]) -> list[int] | None:
-    """An integer x with m @ x == vec, or None if no integral solution."""
-    if len(vec) != m.rows:
-        raise ValueError("dimension mismatch")
-    hnf = hermite_normal_form(m)
-    h = hnf.H
-    residue = [int(x) for x in vec]
-    y = [0] * m.cols
-    j = 0
-    for i in range(m.rows):
-        if j < m.cols and h[i, j] != 0:
-            q, r = divmod(residue[i], h[i, j])
+class Lattice:
+    """Integer column span of a matrix, Hermite-reduced once.
+
+    ``solve`` and ``contains`` only back-substitute against the stored
+    Hermite form, so any number of queries cost one HNF.
+    """
+
+    def __init__(self, m: IntMatrix):
+        self.matrix = m
+        self.hnf = hermite_normal_form(m)
+        h = self.hnf.H
+        # (pivot row, column) of each nonzero Hermite column, left to right.
+        self._pivots = [(i, h.col(j)) for i, j in self.hnf.pivots()]
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def hermite_coords(self, vec: Sequence[int]) -> list[int] | None:
+        """y with vec == sum_j y[j] * (j-th nonzero Hermite column), or
+        None when vec is not in the lattice."""
+        if len(vec) != self.matrix.rows:
+            raise ValueError("dimension mismatch")
+        residue = [int(x) for x in vec]
+        y = []
+        for i, col in self._pivots:
+            q, r = divmod(residue[i], col[i])
             if r != 0:
                 return None
-            y[j] = q
             if q:
-                col = h.col(j)
-                for k in range(m.rows):
+                for k in range(i, len(residue)):
                     residue[k] -= q * col[k]
-            j += 1
-        elif residue[i] != 0:
+            y.append(q)
+        # Rows above a pivot are untouched by later columns, so a
+        # nonzero leftover anywhere means vec is outside the span.
+        if any(residue):
             return None
-    if any(residue):
-        return None
-    return hnf.T.apply(y)
+        return y
+
+    def solve(self, vec: Sequence[int]) -> list[int] | None:
+        """An integer x with matrix @ x == vec, or None."""
+        y = self.hermite_coords(vec)
+        if y is None:
+            return None
+        return self.hnf.T.apply(y + [0] * (self.matrix.cols - len(y)))
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self.hermite_coords(vec) is not None
+
+
+def solve_in_column_span(m: IntMatrix, vec: Sequence[int]) -> list[int] | None:
+    """An integer x with m @ x == vec, or None if no integral solution."""
+    return Lattice(m).solve(vec)
 
 
 def lattice_contains(m: IntMatrix, vec: Sequence[int]) -> bool:
     """Is vec an integer combination of the columns of m?"""
-    return solve_in_column_span(m, vec) is not None
+    return Lattice(m).contains(vec)
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:

@@ -39,10 +39,10 @@ def graph_to_json(g: Multigraph, action: DihedralAction | None = None) -> dict:
 def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be an object")
-    try:
-        labels = [str(x) for x in doc["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError("missing or malformed 'vertices'") from exc
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, (list, tuple)):
+        raise GraphFormatError("'vertices' must be a list of labels")
+    labels = [str(x) for x in vertices]
     if len(set(labels)) != len(labels):
         raise GraphFormatError("duplicate vertex labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -64,6 +64,8 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
         perms = []
         for key in ("sigma1", "sigma2"):
             table = acts[key]
+            if not isinstance(table, dict):
+                raise GraphFormatError(f"'{key}' must be an object mapping labels")
             if set(table) != set(labels):
                 raise GraphFormatError(f"'{key}' must map every vertex label")
             try:

@@ -64,6 +64,34 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "family", "circulant", "--n", "4", "--steps", "0")[0] == 2
 
 
+_TRIANGLE_EDGES = [["a", "b"], ["b", "c"], ["c", "a"]]
+_TRIANGLE_SIGMA2 = {"a": "b", "b": "a", "c": "c"}
+_MALFORMED = {
+    # a string is iterable, but it is not a list of labels
+    "vertices_string": {
+        "vertices": "abc",
+        "edges": _TRIANGLE_EDGES,
+        "actions": {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": _TRIANGLE_SIGMA2},
+    },
+    # an action table must map labels to labels, not list images
+    "action_list": {
+        "vertices": ["a", "b", "c"],
+        "edges": _TRIANGLE_EDGES,
+        "actions": {"sigma1": ["a", "c", "b"], "sigma2": _TRIANGLE_SIGMA2},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_graph_exit_2(capsys, tmp_path, command, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_MALFORMED[case]))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_disconnected_exit_3(capsys, tmp_path):
     path = tmp_path / "disc.json"
     path.write_text(

@@ -2,11 +2,15 @@
 oracles, constructive splits, lattice quotients, and every structural
 check across the family instances."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
-from critgroups.abelian import FinAbGroup, is_isomorphic
+import critgroups
+from critgroups import divisors, intmatrix
+from critgroups.abelian import FinAbGroup, cokernel, is_isomorphic
 from critgroups.decomposition import (
     DecompositionContext,
     check_kernel_structure,
@@ -36,8 +40,8 @@ from critgroups.families import (
     intro_counterexample,
     klein_example,
 )
-from critgroups.intmatrix import lattice_contains
-from critgroups.multigraph import Multigraph
+from critgroups.intmatrix import IntMatrix, Lattice, lattice_contains
+from critgroups.multigraph import Multigraph, laplacian
 from critgroups.quotients import is_pullback, pullback, quotient_graph
 
 
@@ -355,3 +359,94 @@ def test_image_order_of_natural_map():
     assert image_order(hom) == 6000
     hom7 = _pullback_hom(C7, (1, 2, 3))
     assert image_order(hom7) == 169
+
+
+def firing_quotient_by_laplacian_solves(ctx):
+    """Reference route for ``laplacian_mod_symmetric_firings``: express
+    the Laplacian image of every symmetric firing (each pinned vertex,
+    all n^2 strand pairs, each whole strand), root dropped, over the
+    columns of the reduced Laplacian, and take the cokernel of those
+    coordinates.  It uses no kernel argument about the Laplacian."""
+    lap = laplacian(ctx.graph)
+    root = ctx.cg.root
+    nv = ctx.graph.vertex_count
+    firing = Lattice(ctx.cg.reduced)
+
+    def fired(cols):
+        image = [sum(col[k] for col in cols) for k in range(nv)]
+        return image[:root] + image[root + 1 :]
+
+    gens = []
+    for orb in ctx.labeling.pinned:
+        gens += [fired([lap.col(v)]) for v in orb.row]
+    for orb in ctx.labeling.free:
+        xcols = [lap.col(v) for v in orb.xrow]
+        ycols = [lap.col(v) for v in orb.yrow]
+        gens += [fired([cx, cy]) for cx in xcols for cy in ycols]
+        gens += [fired(xcols), fired(ycols)]
+    coords = [firing.solve(gvec) for gvec in gens]
+    assert None not in coords, "symmetric firing is not in the firing lattice"
+    return cokernel(IntMatrix.from_cols(coords)).group
+
+
+FIRING_INSTANCES = {
+    **{f"concentric_polygon({n})": (lambda n=n: concentric_polygon(n)) for n in (3, 4, 5, 8)},
+    **{f"chained_copies(cycle4,{n})": (lambda n=n: chain("cycle4", n)) for n in (3, 5, 9)},
+    "chained_copies(path,5)": lambda: chain("path", 5),
+    "circulant(21,[1,2,3])": lambda: circulant(21, [1, 2, 3]),
+    "circulant(10,[1,3])": lambda: circulant(10, [1, 3]),
+    "klein_example": klein_example,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRING_INSTANCES))
+def test_firing_quotient_matches_laplacian_solves(name):
+    ctx = ctx_for(FIRING_INSTANCES[name]())
+    fast = laplacian_mod_symmetric_firings(ctx)
+    assert fast == firing_quotient_by_laplacian_solves(ctx)
+    assert fast == FinAbGroup((ctx.n,) * ctx.t)
+
+
+def _record_calls(mp, module, name):
+    """Wrap module.name at every binding site in the package (like the
+    benchmark tracer does) and return the list of first arguments seen."""
+    raw = getattr(module, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(args[0])
+        return raw(*args, **kwargs)
+
+    mods = [critgroups] + [
+        importlib.import_module(f"critgroups.{info.name}")
+        for info in pkgutil.iter_modules(critgroups.__path__)
+        if not info.name.startswith("_")
+    ]
+    for mod in mods:
+        for attr, val in list(vars(mod).items()):
+            if val is raw:
+                mp.setattr(mod, attr, recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: concentric_polygon(8), lambda: chain("cycle4", 9)],
+    ids=["concentric_polygon(8)", "chained_copies(cycle4,9)"],
+)
+def test_verify_factors_each_matrix_once(monkeypatch, maker):
+    """A deterministic gate on repeated exact work: during a verify each
+    HNF input is distinct, the number of HNFs does not grow with the
+    sweep length, and the pullback quotient is computed once."""
+    g, act = maker()
+    hnf_counts = {}
+    for trials in (5, 50):
+        ctx = DecompositionContext(g, act)
+        with monkeypatch.context() as mp:
+            hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
+            quotients = _record_calls(mp, divisors, "quotient_by_subgroup")
+            assert run_all_checks(ctx, trials=trials, seed=1).passed
+        assert hnf_inputs and len(set(hnf_inputs)) == len(hnf_inputs)
+        assert len(quotients) == 1
+        hnf_counts[trials] = len(hnf_inputs)
+    assert hnf_counts[5] == hnf_counts[50]

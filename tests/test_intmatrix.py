@@ -8,6 +8,7 @@ import pytest
 
 from critgroups.intmatrix import (
     IntMatrix,
+    Lattice,
     det_bareiss,
     hermite_normal_form,
     integer_kernel,
@@ -157,6 +158,31 @@ def test_lattice_membership_complete_on_known_members():
         m = IntMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
         coeffs = [rng.randint(-8, 8) for _ in range(c)]
         assert lattice_contains(m, m.apply(coeffs))
+
+
+def test_lattice_reuses_one_hermite_form_for_many_queries():
+    """One Lattice answers every query like a fresh solve would, and its
+    Hermite coordinates rebuild the vector from the Hermite basis."""
+    rng = random.Random(53)
+    for _ in range(60):
+        m = random_matrix(rng, 4, 5, 4)
+        lat = Lattice(m)
+        basis = [lat.hnf.H.col(j) for j in range(lat.rank)]
+        assert lat.rank == len(smith_normal_form(m).invariant_factors())
+        for _ in range(8):
+            if rng.random() < 0.5:
+                v = m.apply([rng.randint(-4, 4) for _ in range(m.cols)])
+            else:
+                v = [rng.randint(-5, 5) for _ in range(m.rows)]
+            x = lat.solve(v)
+            assert (x is None) == (solve_in_column_span(m, v) is None)
+            assert lat.contains(v) == (x is not None)
+            if x is None:
+                assert bounded_lattice_search(m, v, 2) is None
+                continue
+            assert m.apply(x) == v
+            y = lat.hermite_coords(v)
+            assert [sum(c * col[i] for c, col in zip(y, basis)) for i in range(m.rows)] == v
 
 
 def test_integer_kernel():
