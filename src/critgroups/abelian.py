@@ -222,10 +222,6 @@ def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     return lattice_quotient(preimage, source_rel)
 
 
-def kernel_order(h: GroupHom) -> int:
-    return kernel_of_hom(h).order
-
-
 def image_order(h: GroupHom) -> int:
     """|source| / |kernel|."""
     return h.source_order // kernel_of_hom(h).order

@@ -119,31 +119,8 @@ def cmd_verify(args) -> int:
         oracle=args.oracle,
         graph_name=args.file,
     )
-    if args.oracle:
-        report.checks.append(_tree_oracle_check(g))
     _emit(report.to_json(), report.to_text(), args.format)
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-def _tree_oracle_check(g):
-    from .decomposition import CheckResult
-    from .oracles import OracleRefused, brute_force_spanning_trees
-
-    fast = spanning_tree_count(g)
-    try:
-        brute = brute_force_spanning_trees(g)
-    except OracleRefused as exc:
-        return CheckResult(
-            name="tree_count_oracle",
-            passed=True,
-            computed={"matrix_tree": fast},
-            notes=[str(exc)],
-        )
-    return CheckResult(
-        name="tree_count_oracle",
-        passed=fast == brute,
-        computed={"matrix_tree": fast, "enumeration": brute},
-    )
 
 
 def _report_labeling_failure(g, action, exc, fmt) -> None:

@@ -51,7 +51,8 @@ from .divisors import (
     subgroup_generated,
 )
 from .intmatrix import IntMatrix, Lattice
-from .multigraph import Multigraph
+from .multigraph import Multigraph, spanning_tree_count
+from .oracles import OracleRefused, brute_force_spanning_trees
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
 
@@ -118,14 +119,6 @@ class DecompositionContext:
         given, 3 the rotation subgroup."""
         return (self.q1, self.q2, self.q3)[i - 1]
 
-    def labeled_quotient(self, role: int) -> QuotientResult:
-        """Quotient for a labeling role, accounting for a global swap."""
-        if role == 3:
-            return self.q3
-        if self.labeling.generators_swapped:
-            role = 3 - role
-        return (self.q1, self.q2)[role - 1]
-
     def _role_of(self, i: int) -> int:
         if i == 3:
             return 3
@@ -173,6 +166,12 @@ class DecompositionContext:
         return vals
 
     # -- groups shared by several checks, each computed once ---------------
+
+    @cached_property
+    def pair_image(self) -> FinAbGroup:
+        """Subgroup generated by the two involution pullback images."""
+        gens = self.pair_pullback_generators()
+        return subgroup_generated(self.cg, [d.values for d in gens])
 
     @cached_property
     def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
@@ -523,48 +522,36 @@ def triple_sum_matrix(ctx: DecompositionContext) -> IntMatrix:
     return _dropped_columns(ctx, ctx.all_pullback_generators())
 
 
-def _two_torsion_exponent(ctx: DecompositionContext) -> int:
+def _extra_two_torsion(ctx: DecompositionContext) -> tuple[int, ...] | None:
+    """The Z/2 factors every closed-form prediction adds to its odd-n
+    shape, or None where no closed form applies.
+
+    The closed forms cover odd n, no pinned orbits, all pinned orbits on
+    the second-involution class, and the n = 2 mixed case."""
+    if ctx.n % 2 == 1 or ctx.s == 0:
+        return ()
+    if ctx.flipped and ctx.n != 2:
+        return None
     s_fl = ctx.flipped
     s_df = ctx.s - s_fl
-    return max(s_df - 1, 0) + max(s_fl - 1, 0)
-
-
-def _prediction_applies(ctx: DecompositionContext) -> bool:
-    """The closed-form predictions cover odd n, no pinned orbits, all
-    pinned orbits on one reflection class, and the n = 2 mixed case."""
-    if ctx.n % 2 == 1 or ctx.s == 0 or ctx.flipped == 0:
-        return True
-    return ctx.n == 2
+    return (2,) * (max(s_df - 1, 0) + max(s_fl - 1, 0))
 
 
 def predicted_divisor_quotient(ctx: DecompositionContext) -> FinAbGroup | None:
     """Expected shape of degree-zero divisors modulo pullback sums."""
-    n, t = ctx.n, ctx.t
-    if n % 2 == 1 or ctx.s == 0:
-        return FinAbGroup((n,) * (t + 1))
-    if not _prediction_applies(ctx):
-        return None
-    e = _two_torsion_exponent(ctx)
-    return FinAbGroup((n,) * (t + 1) + (2,) * e)
+    extra = _extra_two_torsion(ctx)
+    return None if extra is None else FinAbGroup((ctx.n,) * (ctx.t + 1) + extra)
 
 
 def predicted_kernel(ctx: DecompositionContext) -> FinAbGroup | None:
-    ghat2 = direct_sum(ctx.cg_hat.group, ctx.cg_hat.group)
-    if ctx.n % 2 == 1 or ctx.s == 0:
-        return ghat2
-    if not _prediction_applies(ctx):
-        return None
-    e = _two_torsion_exponent(ctx)
-    return direct_sum(ghat2, FinAbGroup((2,) * e))
+    extra = _extra_two_torsion(ctx)
+    ghat = ctx.cg_hat.group
+    return None if extra is None else direct_sum(ghat, ghat, FinAbGroup(extra))
 
 
 def predicted_quotient(ctx: DecompositionContext) -> FinAbGroup | None:
-    if ctx.n % 2 == 1 or ctx.s == 0:
-        return FinAbGroup.cyclic(ctx.n)
-    if not _prediction_applies(ctx):
-        return None
-    e = _two_torsion_exponent(ctx)
-    return FinAbGroup((ctx.n,) + (2,) * e)
+    extra = _extra_two_torsion(ctx)
+    return None if extra is None else FinAbGroup((ctx.n,) + extra)
 
 
 def divisors_mod_pullback_sums(ctx: DecompositionContext) -> FinAbGroup:
@@ -611,8 +598,10 @@ def pullback_subgroup(ctx: DecompositionContext) -> tuple[FinAbGroup, list[Divis
     """Subgroup of the critical group generated by all three pullback
     images, with the generating divisors as witnesses."""
     gens = ctx.all_pullback_generators()
-    j = subgroup_generated(ctx.cg, [d.values for d in gens])
-    return j, gens
+    if not ctx.pullback_generators(3):
+        # One-vertex rotation quotient: the pair generators are all of them.
+        return ctx.pair_image, gens
+    return subgroup_generated(ctx.cg, [d.values for d in gens]), gens
 
 
 def _pullback_hom(ctx: DecompositionContext, indices: Sequence[int]) -> GroupHom:
@@ -662,6 +651,24 @@ def _gshape(g: FinAbGroup) -> list[int]:
     return list(g.factors)
 
 
+def _verdict(
+    ctx: DecompositionContext,
+    ok: bool,
+    computed: FinAbGroup,
+    predicted: FinAbGroup | None,
+    notes: list[str],
+) -> bool:
+    """Whether a check passes: its exact part came out ``ok`` and, where
+    a closed form applies, ``computed`` matches it.  Notes which case
+    applied."""
+    if predicted is None:
+        notes.append("mixed reflection classes with n >= 4: no closed form")
+        return ok
+    if ctx.flipped:
+        notes.append("prediction adjusted for mixed reflection classes")
+    return ok and is_isomorphic(computed, predicted)
+
+
 def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
     """The short exact sequence tying the full-quotient critical group
     to the two involution quotients.
@@ -687,8 +694,7 @@ def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
         injective = kernel_of_hom(hom).is_trivial()
     else:
         injective = True
-    pair_gens = ctx.pair_pullback_generators()
-    j12 = subgroup_generated(ctx.cg, [d.values for d in pair_gens])
+    j12 = ctx.pair_image
     h1 = ctx.cg_h[0].group.order
     h2 = ctx.cg_h[1].group.order
     ghat = ctx.cg_hat.group.order
@@ -728,16 +734,9 @@ def check_kernel_structure(ctx: DecompositionContext) -> CheckResult:
         notes.append(
             f"|kernel|*|image| = {computed.order}*{j.order} != {prod_h}"
         )
-    if predicted is None:
-        notes.append("mixed reflection classes with n >= 4: no closed form")
-        passed = order_ok
-    else:
-        if ctx.flipped:
-            notes.append("prediction adjusted for mixed reflection classes")
-        passed = order_ok and is_isomorphic(computed, predicted)
     return CheckResult(
         name="kernel_structure",
-        passed=passed,
+        passed=_verdict(ctx, order_ok, computed, predicted, notes),
         computed={"kernel": _gshape(computed), "image_order": j.order},
         predicted=None if predicted is None else {"kernel": _gshape(predicted)},
         notes=notes,
@@ -761,16 +760,9 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     if not agree:
         notes.append(f"paths disagree: {direct.factors} vs {via_dp.factors}")
     predicted = predicted_quotient(ctx)
-    if predicted is None:
-        notes.append("mixed reflection classes with n >= 4: no closed form")
-        passed = agree
-    else:
-        if ctx.flipped:
-            notes.append("prediction adjusted for mixed reflection classes")
-        passed = agree and is_isomorphic(direct, predicted)
     return CheckResult(
         name="quotient_structure",
-        passed=passed,
+        passed=_verdict(ctx, agree, direct, predicted, notes),
         computed={"quotient": _gshape(direct), "via_divisor_classes": _gshape(via_dp)},
         predicted=None if predicted is None else {"quotient": _gshape(predicted)},
         notes=notes,
@@ -788,16 +780,9 @@ def check_divisor_class_quotient(ctx: DecompositionContext) -> CheckResult:
     if not lq_ok:
         notes.append(f"firing quotient {lq.factors} != {lq_expected.factors}")
     predicted = predicted_divisor_quotient(ctx)
-    if predicted is None:
-        notes.append("mixed reflection classes with n >= 4: no closed form")
-        passed = lq_ok
-    else:
-        if ctx.flipped:
-            notes.append("prediction adjusted for mixed reflection classes")
-        passed = lq_ok and is_isomorphic(dp, predicted)
     return CheckResult(
         name="divisor_class_quotient",
-        passed=passed,
+        passed=_verdict(ctx, lq_ok, dp, predicted, notes),
         computed={
             "divisors_mod_pullbacks": _gshape(dp),
             "firing_lattice_quotient": _gshape(lq),
@@ -843,7 +828,7 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
             f"even order: n*prod = {literal} ({'==' if literal_ok else '!='} |K|); "
             f"2-power variant {even_analogue} flagged, not asserted"
         )
-        if _prediction_applies(ctx):
+        if _extra_two_torsion(ctx) is not None:
             passed = passed and corrected_ok
     return CheckResult(
         name="order_identity",
@@ -880,6 +865,26 @@ def check_tree_case(ctx: DecompositionContext) -> CheckResult:
     )
 
 
+def check_tree_count_oracle(ctx: DecompositionContext) -> CheckResult:
+    """Matrix-tree count against spanning-tree enumeration, on graphs
+    small enough to enumerate."""
+    fast = spanning_tree_count(ctx.graph)
+    try:
+        brute = brute_force_spanning_trees(ctx.graph)
+    except OracleRefused as exc:
+        return CheckResult(
+            name="tree_count_oracle",
+            passed=True,
+            computed={"matrix_tree": fast},
+            notes=[str(exc)],
+        )
+    return CheckResult(
+        name="tree_count_oracle",
+        passed=fast == brute,
+        computed={"matrix_tree": fast, "enumeration": brute},
+    )
+
+
 # ---------------------------------------------------------------------------
 # randomized sweeps and the report
 
@@ -907,8 +912,10 @@ def membership_sweep(
     rng = random.Random(seed)
     pair_hits = triple_hits = 0
     mismatches: list[str] = []
-    pair_lat = Lattice(pair_sum_matrix(ctx)) if oracle else None
-    triple_lat = Lattice(triple_sum_matrix(ctx)) if oracle else None
+    if oracle:
+        pair_m, triple_m = pair_sum_matrix(ctx), triple_sum_matrix(ctx)
+        pair_lat = Lattice(pair_m)
+        triple_lat = pair_lat if triple_m == pair_m else Lattice(triple_m)
     for k in range(trials):
         d = random_degree_zero(ctx.graph, rng)
         in_pair = pair_sum_conditions(ctx, d.values)
@@ -1025,6 +1032,8 @@ def run_all_checks(
         checks.append(check_tree_case(ctx))
     if trials > 0:
         checks.append(membership_sweep(ctx, trials, seed, oracle))
+    if oracle:
+        checks.append(check_tree_count_oracle(ctx))
     return DecompositionReport(
         graph_name=graph_name,
         n=ctx.n,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .abelian import Cokernel, FinAbGroup, cokernel, lattice_quotient
+from .abelian import FinAbGroup, cokernel, lattice_quotient
 from .intmatrix import IntMatrix, Lattice
 from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
 
@@ -29,10 +29,6 @@ class Divisor:
         if len(self.values) != self.graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
         object.__setattr__(self, "values", tuple(int(x) for x in self.values))
-
-    @classmethod
-    def zero(cls, graph: Multigraph) -> "Divisor":
-        return cls(graph, (0,) * graph.vertex_count)
 
     @property
     def degree(self) -> int:
@@ -101,14 +97,13 @@ class CriticalGroupData:
             raise DisconnectedGraphError("critical group needs a connected graph")
         self.graph = graph
         self.root = 0
+        # One vertex: no relations on Z^0, whose cokernel is trivial.
         if graph.vertex_count >= 2:
             self.reduced = reduced_laplacian(graph, self.root)
-            self._coker: Cokernel | None = cokernel(self.reduced)
-            self.group = self._coker.group
         else:
             self.reduced = IntMatrix(0, 0, [])
-            self._coker = None
-            self.group = FinAbGroup.trivial()
+        self._coker = cokernel(self.reduced)
+        self.group = self._coker.group
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -129,30 +124,20 @@ class CriticalGroupData:
 
     def project(self, d: Sequence[int]) -> tuple[int, ...]:
         """Class of a degree-zero divisor in invariant-factor coordinates."""
-        dropped = self._dropped(d)
-        if self._coker is None:
-            return ()
-        return self._coker.project(dropped)
+        return self._coker.project(self._dropped(d))
 
     def order_of(self, d: Sequence[int]) -> int:
         """Order of the divisor class in the critical group."""
-        if self._coker is None:
-            return 1
         return self._coker.element_order(self.project(d))
 
     def generator_divisors(self) -> list[Divisor]:
         """Divisors whose classes are the invariant-factor generators."""
-        if self._coker is None:
-            return []
         out = []
         for lift in self._coker.generator_lifts():
             vals = list(lift)
             vals.insert(self.root, -sum(lift))
             out.append(Divisor(self.graph, tuple(vals)))
         return out
-
-    def divisor(self, values: Sequence[int]) -> Divisor:
-        return Divisor(self.graph, tuple(values))
 
 
 def critical_group(g: Multigraph) -> CriticalGroupData:
@@ -165,10 +150,7 @@ def is_principal(cg: CriticalGroupData, d: Sequence[int]) -> bool:
     Decided by lattice membership on the reduced system; the test suite
     cross-checks this against vanishing of the projection.
     """
-    dropped = cg._dropped(d)
-    if not dropped:
-        return True
-    return cg.lattice.contains(dropped)
+    return cg.lattice.contains(cg._dropped(d))
 
 
 def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:

@@ -144,13 +144,13 @@ def det_bareiss(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * M * V == S with U, V unimodular and S in Smith normal form."""
+    """U * M * V == S with U unimodular, S in Smith normal form, and some
+    unimodular V that is not built: a cokernel reads only ``U`` (to
+    project) and ``Uinv`` (to lift generators)."""
 
     U: IntMatrix
     S: IntMatrix
-    V: IntMatrix
     Uinv: IntMatrix
-    Vinv: IntMatrix
 
     def invariant_factors(self) -> list[int]:
         """Diagonal of S, nonzero entries only (they satisfy d1 | d2 | ...)."""
@@ -163,7 +163,7 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms and their inverses.
+    """Smith normal form with the row transform and its inverse.
 
     Pivoting picks the smallest nonzero magnitude in the working
     submatrix to limit entry growth.
@@ -172,11 +172,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a = m.to_rows()
     u = IntMatrix.identity(rows).to_rows()
     uinv = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-    vinv = IntMatrix.identity(cols).to_rows()
 
     # Row ops act on (a, u) and inversely on uinv (as column ops);
-    # column ops act on (a, v) and inversely on vinv (as row ops).
+    # column ops act on a alone.
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
@@ -203,26 +201,10 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     def swap_cols(i, j):
         for r in range(rows):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(i, j, q):
-        # col_i += q * col_j ; vinv row_j -= q * row_i
         for r in range(rows):
             a[r][i] += q * a[r][j]
-        for r in range(cols):
-            v[r][i] += q * v[r][j]
-        vj, vi = vinv[j], vinv[i]
-        for k in range(cols):
-            vj[k] -= q * vi[k]
-
-    def negate_col(i):
-        for r in range(rows):
-            a[r][i] = -a[r][i]
-        for r in range(cols):
-            v[r][i] = -v[r][i]
-        vinv[i] = [-x for x in vinv[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -280,9 +262,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(
         U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, []),
         S=s,
-        V=IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, []),
         Uinv=IntMatrix.from_rows(uinv) if rows else IntMatrix(0, 0, []),
-        Vinv=IntMatrix.from_rows(vinv) if cols else IntMatrix(0, 0, []),
     )
 
 

@@ -88,10 +88,6 @@ def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:
     return graph_from_json(doc)
 
 
-def divisor_to_json(g: Multigraph, values) -> dict:
-    return {g.label(v): int(x) for v, x in enumerate(values) if x}
-
-
 def divisor_from_json(g: Multigraph, doc: dict) -> list[int]:
     vals = [0] * g.vertex_count
     for lbl, x in doc.items():

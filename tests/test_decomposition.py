@@ -407,14 +407,15 @@ def test_firing_quotient_matches_laplacian_solves(name):
     assert fast == FinAbGroup((ctx.n,) * ctx.t)
 
 
-def _record_calls(mp, module, name):
+def _record_calls(mp, module, name, arg=0):
     """Wrap module.name at every binding site in the package (like the
-    benchmark tracer does) and return the list of first arguments seen."""
+    benchmark tracer does) and return the list of arguments seen at
+    position ``arg``."""
     raw = getattr(module, name)
     seen = []
 
     def recording(*args, **kwargs):
-        seen.append(args[0])
+        seen.append(args[arg])
         return raw(*args, **kwargs)
 
     mods = [critgroups] + [
@@ -430,14 +431,20 @@ def _record_calls(mp, module, name):
 
 
 @pytest.mark.parametrize(
-    "maker",
-    [lambda: concentric_polygon(8), lambda: chain("cycle4", 9)],
-    ids=["concentric_polygon(8)", "chained_copies(cycle4,9)"],
+    "maker, oracle",
+    [
+        (lambda: concentric_polygon(8), False),
+        (lambda: chain("cycle4", 9), False),
+        # One-vertex rotation quotient: pair and triple generators coincide.
+        (lambda: circulant(21, [1, 2, 3]), True),
+    ],
+    ids=["concentric_polygon(8)", "chained_copies(cycle4,9)", "circulant(21,[1,2,3])-oracle"],
 )
-def test_verify_factors_each_matrix_once(monkeypatch, maker):
+def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle):
     """A deterministic gate on repeated exact work: during a verify each
-    HNF input is distinct, the number of HNFs does not grow with the
-    sweep length, and the pullback quotient is computed once."""
+    HNF input is distinct, each generated subgroup is computed once, the
+    number of HNFs does not grow with the sweep length, and the pullback
+    quotient is computed once."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
@@ -445,8 +452,11 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker):
         with monkeypatch.context() as mp:
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             quotients = _record_calls(mp, divisors, "quotient_by_subgroup")
-            assert run_all_checks(ctx, trials=trials, seed=1).passed
+            subgroups = _record_calls(mp, divisors, "subgroup_generated", arg=1)
+            assert run_all_checks(ctx, trials=trials, seed=1, oracle=oracle).passed
         assert hnf_inputs and len(set(hnf_inputs)) == len(hnf_inputs)
+        gen_lists = [tuple(tuple(d) for d in gens) for gens in subgroups]
+        assert subgroups and len(set(gen_lists)) == len(gen_lists)
         assert len(quotients) == 1
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50]

