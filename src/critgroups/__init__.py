@@ -1,7 +1,7 @@
 """Exact critical groups of finite multigraphs and the decomposition of
 graphs with harmonic dihedral symmetry into quotient critical groups."""
 
-from .abelian import FinAbGroup, GroupHom, cokernel, direct_sum, is_isomorphic, image_order, kernel_of_hom
+from .abelian import FinAbGroup, GroupHom, cokernel, direct_sum, is_isomorphic, kernel_of_hom
 from .actions import (
     DihedralAction,
     LabelingImpossibleError,

@@ -114,10 +114,13 @@ def cokernel(relations: IntMatrix) -> "Cokernel":
 
 
 class Cokernel:
-    """Z^n modulo the integer column span of a relation matrix.
+    """Z^n modulo the integer column span of a relation matrix, in its
+    own invariant-factor coordinates.
 
-    The quotient must be finite (the relations have full row rank);
-    this is asserted at construction.
+    Of the Smith form only the k rows of the row transform whose factor
+    d_r exceeds 1 are kept, each reduced mod d_r, with the k matching
+    columns of its inverse.  The quotient must be finite (the relations
+    have full row rank); this is asserted at construction.
     """
 
     def __init__(self, relations: IntMatrix):
@@ -127,21 +130,31 @@ class Cokernel:
         diag = [snf.S[i, i] for i in range(min(n, relations.cols))]
         if len(diag) < n or any(d == 0 for d in diag):
             raise ValueError("cokernel is infinite: relations not full rank")
-        self._snf = snf
-        self.moduli = tuple(d for d in diag if d != 1)
-        self._rows_kept = tuple(i for i, d in enumerate(diag) if d != 1)
+        kept = [(r, d) for r, d in enumerate(diag) if d != 1]
+        self.moduli = tuple(d for _, d in kept)
+        self._rows = [[x % d for x in snf.U.row(r)] for r, d in kept]
+        self._lifts = [snf.Uinv.col(r) for r, _ in kept]
         self.group = FinAbGroup(self.moduli)
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Class of an ambient vector, in generator coordinates."""
         if len(vec) != self.relations.rows:
             raise ValueError("dimension mismatch")
-        img = self._snf.U.apply(list(vec))
-        return tuple(img[r] % d for r, d in zip(self._rows_kept, self.moduli))
+        return tuple(
+            sum(a * x for a, x in zip(row, vec)) % d
+            for row, d in zip(self._rows, self.moduli)
+        )
 
     def generator_lifts(self) -> list[list[int]]:
         """Ambient vectors whose classes are the standard generators."""
-        return [self._snf.Uinv.col(r) for r in self._rows_kept]
+        return [list(lift) for lift in self._lifts]
+
+    def quotient_by(self, vectors: Sequence[Sequence[int]]) -> FinAbGroup:
+        """This group modulo the subgroup generated by the classes of
+        ambient vectors: the cokernel of [diag(d) | projected vectors]."""
+        coords = [self.project(v) for v in vectors]
+        relations = IntMatrix.diagonal(list(self.moduli))
+        return cokernel(relations.hstack(IntMatrix.from_cols(coords, len(self.moduli)))).group
 
     def element_order(self, coords: Sequence[int]) -> int:
         from math import gcd, lcm
@@ -168,7 +181,7 @@ def lattice_quotient(outer: IntMatrix, inner: IntMatrix) -> FinAbGroup:
         if x is None:
             raise ValueError("inner lattice not contained in outer lattice")
         coords.append(x)
-    return cokernel(IntMatrix.from_cols(coords)).group
+    return cokernel(IntMatrix.from_cols(coords, lattice.rank)).group
 
 
 @dataclass(frozen=True)
@@ -196,10 +209,6 @@ class GroupHom:
                         f"the target lattice at row {i}"
                     )
 
-    @property
-    def source_order(self) -> int:
-        return prod(self.source_moduli) if self.source_moduli else 1
-
 
 def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     """Invariant factors of ker(h), computed on integer lattices.
@@ -211,17 +220,10 @@ def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     k = len(h.source_moduli)
     if k == 0:
         return FinAbGroup.trivial()
-    target_rel = IntMatrix.diagonal(list(h.target_moduli))
-    stacked = h.matrix.hstack(target_rel) if target_rel.cols else h.matrix
-    ker = integer_kernel(stacked)
+    ker = integer_kernel(h.matrix.hstack(IntMatrix.diagonal(list(h.target_moduli))))
     preimage_cols = [ker.col(j)[:k] for j in range(ker.cols)]
     source_rel = IntMatrix.diagonal(list(h.source_moduli))
     for j in range(source_rel.cols):
         preimage_cols.append(source_rel.col(j))
-    preimage = IntMatrix.from_cols(preimage_cols)
+    preimage = IntMatrix.from_cols(preimage_cols, k)
     return lattice_quotient(preimage, source_rel)
-
-
-def image_order(h: GroupHom) -> int:
-    """|source| / |kernel|."""
-    return h.source_order // kernel_of_hom(h).order

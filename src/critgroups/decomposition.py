@@ -43,7 +43,6 @@ from .actions import (
     classify_dihedral_orbits,
 )
 from .divisors import (
-    CriticalGroupData,
     Divisor,
     critical_group,
     is_principal,
@@ -509,7 +508,7 @@ def split_triple_sum(
 
 
 def _dropped_columns(ctx: DecompositionContext, divisors: Sequence[Divisor]) -> IntMatrix:
-    return IntMatrix.from_cols([ctx.cg._dropped(d.values) for d in divisors])
+    return IntMatrix.from_cols([ctx.cg._dropped(d.values) for d in divisors], ctx.cg.reduced.rows)
 
 
 def pair_sum_matrix(ctx: DecompositionContext) -> IntMatrix:
@@ -591,7 +590,7 @@ def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
         gens += [script(*xs), script(*ys)]
         gens.extend(script(xs[0], y) for y in ys)
         gens.extend(script(x, ys[0]) for x in xs[1:])
-    return cokernel(IntMatrix.from_cols(gens)).group
+    return cokernel(IntMatrix.from_cols(gens, nv)).group
 
 
 def pullback_subgroup(ctx: DecompositionContext) -> tuple[FinAbGroup, list[Divisor]]:
@@ -615,11 +614,7 @@ def _pullback_hom(ctx: DecompositionContext, indices: Sequence[int]) -> GroupHom
         moduli.extend(cgq.moduli)
         for gen in cgq.generator_divisors():
             cols.append(list(ctx.cg.project(pullback(q, list(gen.values)))))
-    matrix = (
-        IntMatrix.from_cols(cols)
-        if cols
-        else IntMatrix(len(ctx.cg.moduli), 0, [])
-    )
+    matrix = IntMatrix.from_cols(cols, len(ctx.cg.moduli))
     return GroupHom(tuple(moduli), tuple(ctx.cg.moduli), matrix)
 
 
@@ -684,16 +679,12 @@ def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
     compatible = all(
         is_pullback(ctx.q1, vals) and is_pullback(ctx.q2, vals) for vals in pulled
     )
-    if ctx.cg_hat.moduli:
-        cols = [list(ctx.cg.project(vals)) for vals in pulled]
-        hom = GroupHom(
-            tuple(ctx.cg_hat.moduli),
-            tuple(ctx.cg.moduli),
-            IntMatrix.from_cols(cols),
-        )
-        injective = kernel_of_hom(hom).is_trivial()
-    else:
-        injective = True
+    hom = GroupHom(
+        tuple(ctx.cg_hat.moduli),
+        tuple(ctx.cg.moduli),
+        IntMatrix.from_cols([ctx.cg.project(vals) for vals in pulled], len(ctx.cg.moduli)),
+    )
+    injective = kernel_of_hom(hom).is_trivial()
     j12 = ctx.pair_image
     h1 = ctx.cg_h[0].group.order
     h2 = ctx.cg_h[1].group.order
@@ -749,13 +740,8 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     divisor-class quotient divided by the image of the firing lattice."""
     notes: list[str] = []
     direct = ctx.pullback_quotient
-    dp = ctx.divisor_quotient
-    if dp.moduli:
-        cols = [list(dp.project(ctx.cg.reduced.col(j))) for j in range(ctx.cg.reduced.cols)]
-        rel = IntMatrix.diagonal(list(dp.moduli))
-        via_dp = cokernel(rel.hstack(IntMatrix.from_cols(cols))).group
-    else:
-        via_dp = FinAbGroup.trivial()
+    firing = ctx.cg.reduced
+    via_dp = ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
     agree = is_isomorphic(direct, via_dp)
     if not agree:
         notes.append(f"paths disagree: {direct.factors} vs {via_dp.factors}")
@@ -903,11 +889,11 @@ def membership_sweep(
 ) -> CheckResult:
     """Randomized consistency sweep over degree-zero divisors.
 
-    Splits are exercised whenever the membership conditions accept; the
-    principality test is compared with projection vanishing; with
-    ``oracle`` set, memberships are cross-checked against lattice
-    membership in explicit generator matrices and the per-quotient
-    conditions against the quotient pullback criterion.
+    Splits are exercised whenever the membership conditions accept.
+    With ``oracle`` set, memberships are cross-checked against lattice
+    membership in explicit generator matrices, principality (decided by
+    projection) against membership in the firing lattice, and the
+    per-quotient conditions against the quotient pullback criterion.
     """
     rng = random.Random(seed)
     pair_hits = triple_hits = 0
@@ -916,6 +902,7 @@ def membership_sweep(
         pair_m, triple_m = pair_sum_matrix(ctx), triple_sum_matrix(ctx)
         pair_lat = Lattice(pair_m)
         triple_lat = pair_lat if triple_m == pair_m else Lattice(triple_m)
+        firing_lat = Lattice(ctx.cg.reduced)
     for k in range(trials):
         d = random_degree_zero(ctx.graph, rng)
         in_pair = pair_sum_conditions(ctx, d.values)
@@ -928,12 +915,10 @@ def membership_sweep(
         if in_triple:
             triple_hits += 1
             split_triple_sum(ctx, d.values)
-        principal = is_principal(ctx.cg, d.values)
-        flat = all(x == 0 for x in ctx.cg.project(d.values))
-        if principal != flat:
-            mismatches.append(f"trial {k}: principality vs projection mismatch")
         if oracle:
             dropped = ctx.cg._dropped(d.values)
+            if is_principal(ctx.cg, d.values) != firing_lat.contains(dropped):
+                mismatches.append(f"trial {k}: principality lattice oracle disagrees")
             if in_pair != pair_lat.contains(dropped):
                 mismatches.append(f"trial {k}: pair lattice oracle disagrees")
             if in_triple != triple_lat.contains(dropped):

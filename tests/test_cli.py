@@ -79,6 +79,9 @@ _MALFORMED = {
         "edges": _TRIANGLE_EDGES,
         "actions": {"sigma1": ["a", "c", "b"], "sigma2": _TRIANGLE_SIGMA2},
     },
+    # edges must be a list of vertex pairs
+    "edges_number": {"vertices": ["a", "b", "c"], "edges": 5},
+    "edges_null": {"vertices": ["a", "b", "c"], "edges": None},
 }
 
 

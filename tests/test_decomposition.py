@@ -32,7 +32,7 @@ from critgroups.decomposition import (
     triple_sum_conditions,
     triple_sum_matrix,
 )
-from critgroups.divisors import critical_group
+from critgroups.divisors import critical_group, quotient_by_subgroup
 from critgroups.families import (
     chained_copies,
     circulant,
@@ -352,7 +352,7 @@ def test_klein_odd_row_sum_rejected():
 
 
 def test_image_order_of_natural_map():
-    from critgroups.abelian import image_order
+    from test_abelian import image_order
     from critgroups.decomposition import _pullback_hom
 
     hom = _pullback_hom(G4, (1, 2, 3))
@@ -386,7 +386,7 @@ def firing_quotient_by_laplacian_solves(ctx):
         gens += [fired(xcols), fired(ycols)]
     coords = [firing.solve(gvec) for gvec in gens]
     assert None not in coords, "symmetric firing is not in the firing lattice"
-    return cokernel(IntMatrix.from_cols(coords)).group
+    return cokernel(IntMatrix.from_cols(coords, ctx.cg.reduced.rows)).group
 
 
 FIRING_INSTANCES = {
@@ -407,17 +407,31 @@ def test_firing_quotient_matches_laplacian_solves(name):
     assert fast == FinAbGroup((ctx.n,) * ctx.t)
 
 
-def _record_calls(mp, module, name, arg=0):
-    """Wrap module.name at every binding site in the package (like the
-    benchmark tracer does) and return the list of arguments seen at
-    position ``arg``."""
+def quotient_by_subgroup_by_full_relations(cg, gens):
+    """Reference route for ``quotient_by_subgroup``: the Smith form of
+    the reduced Laplacian augmented with the generators (root dropped),
+    over all of Z^(V-1).  It never projects into the invariant-factor
+    coordinates."""
+    cols = [cg._dropped(d) for d in gens]
+    return cokernel(cg.reduced.hstack(IntMatrix.from_cols(cols, cg.reduced.rows))).group
+
+
+@pytest.mark.parametrize("name", sorted(FIRING_INSTANCES))
+def test_quotient_by_subgroup_matches_full_relations(name):
+    ctx = ctx_for(FIRING_INSTANCES[name]())
+    all_gens = [d.values for d in ctx.all_pullback_generators()]
+    pair_gens = [d.values for d in ctx.pair_pullback_generators()]
+    assert ctx.pullback_quotient == quotient_by_subgroup_by_full_relations(ctx.cg, all_gens)
+    assert quotient_by_subgroup(ctx.cg, pair_gens) == quotient_by_subgroup_by_full_relations(
+        ctx.cg, pair_gens
+    )
+
+
+def _patch_everywhere(mp, module, name, wrap):
+    """Replace module.name by wrap(module.name) at every binding site in
+    the package, like the benchmark tracer does."""
     raw = getattr(module, name)
-    seen = []
-
-    def recording(*args, **kwargs):
-        seen.append(args[arg])
-        return raw(*args, **kwargs)
-
+    wrapped = wrap(raw)
     mods = [critgroups] + [
         importlib.import_module(f"critgroups.{info.name}")
         for info in pkgutil.iter_modules(critgroups.__path__)
@@ -426,37 +440,74 @@ def _record_calls(mp, module, name, arg=0):
     for mod in mods:
         for attr, val in list(vars(mod).items()):
             if val is raw:
-                mp.setattr(mod, attr, recording)
+                mp.setattr(mod, attr, wrapped)
+
+
+def _record_calls(mp, module, name, arg=0):
+    """Wrap module.name at every binding site in the package and return
+    the list of arguments seen at position ``arg``."""
+    seen = []
+
+    def wrap(raw):
+        def recording(*args, **kwargs):
+            seen.append(args[arg])
+            return raw(*args, **kwargs)
+
+        return recording
+
+    _patch_everywhere(mp, module, name, wrap)
     return seen
 
 
+def _record_inner_calls(mp, module, name, inner):
+    """Wrap module.name at every binding site and return, per call, the
+    list of ``inner`` arguments recorded while it ran."""
+    per_call = []
+
+    def wrap(raw):
+        def recording(*args, **kwargs):
+            start = len(inner)
+            out = raw(*args, **kwargs)
+            per_call.append(inner[start:])
+            return out
+
+        return recording
+
+    _patch_everywhere(mp, module, name, wrap)
+    return per_call
+
+
 @pytest.mark.parametrize(
-    "maker, oracle",
+    "maker, oracle, hnfs",
     [
-        (lambda: concentric_polygon(8), False),
-        (lambda: chain("cycle4", 9), False),
+        (lambda: concentric_polygon(8), False, 4),
+        (lambda: chain("cycle4", 9), False, 6),
         # One-vertex rotation quotient: pair and triple generators coincide.
-        (lambda: circulant(21, [1, 2, 3]), True),
+        (lambda: circulant(21, [1, 2, 3]), True, 5),
     ],
     ids=["concentric_polygon(8)", "chained_copies(cycle4,9)", "circulant(21,[1,2,3])-oracle"],
 )
-def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle):
+def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs):
     """A deterministic gate on repeated exact work: during a verify each
     HNF input is distinct, each generated subgroup is computed once, the
-    number of HNFs does not grow with the sweep length, and the pullback
-    quotient is computed once."""
+    number of HNFs is fixed and does not grow with the sweep length, and
+    the pullback quotient is computed once, over the group's own
+    invariant-factor coordinates."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
         ctx = DecompositionContext(g, act)
         with monkeypatch.context() as mp:
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
+            snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
             quotients = _record_calls(mp, divisors, "quotient_by_subgroup")
+            quotient_snfs = _record_inner_calls(mp, divisors, "quotient_by_subgroup", snf_inputs)
             subgroups = _record_calls(mp, divisors, "subgroup_generated", arg=1)
             assert run_all_checks(ctx, trials=trials, seed=1, oracle=oracle).passed
         assert hnf_inputs and len(set(hnf_inputs)) == len(hnf_inputs)
         gen_lists = [tuple(tuple(d) for d in gens) for gens in subgroups]
         assert subgroups and len(set(gen_lists)) == len(gen_lists)
         assert len(quotients) == 1
+        assert [m.rows for m in quotient_snfs[0]] == [len(ctx.cg.moduli)]
         hnf_counts[trials] = len(hnf_inputs)
-    assert hnf_counts[5] == hnf_counts[50]
+    assert hnf_counts[5] == hnf_counts[50] == hnfs

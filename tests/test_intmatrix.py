@@ -2,13 +2,14 @@
 and against brute-force oracles on small inputs."""
 
 import random
+from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critgroups.abelian import Cokernel
+from critgroups.abelian import Cokernel, cokernel
 from critgroups.intmatrix import (
     IntMatrix,
     Lattice,
@@ -19,7 +20,16 @@ from critgroups.intmatrix import (
     smith_normal_form,
     solve_in_column_span,
 )
-from critgroups.oracles import bounded_lattice_search
+
+
+def bounded_lattice_search(m, vec, bound):
+    """Brute-force reference: integer combinations of the columns of m
+    with coefficients in [-bound, bound] that hit vec, or None."""
+    target = list(vec)
+    for coeffs in product(range(-bound, bound + 1), repeat=m.cols):
+        if m.apply(list(coeffs)) == target:
+            return list(coeffs)
+    return None
 
 
 def random_matrix(rng, rmax=6, cmax=6, span=9):
@@ -188,6 +198,18 @@ def test_lattice_reuses_one_hermite_form_for_many_queries():
             assert [sum(c * col[i] for c, col in zip(y, basis)) for i in range(m.rows)] == v
 
 
+def test_matrices_keep_their_shape_when_empty():
+    assert IntMatrix.from_cols([[], [], []], 0) == IntMatrix(0, 3, [])
+    assert IntMatrix.from_cols([], 4) == IntMatrix(4, 0, [])
+    assert IntMatrix.from_cols([[1, 2], [3, 4], [5, 6]], 2) == IntMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
+    assert IntMatrix(0, 2, []).hstack(IntMatrix(0, 3, [])) == IntMatrix(0, 5, [])
+    assert IntMatrix(2, 0, []).hstack(IntMatrix.identity(2)) == IntMatrix.identity(2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_cols([[1, 2], [3]], 2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_cols([[1, 2]], 3)
+
+
 def test_integer_kernel():
     k = integer_kernel(IntMatrix.from_rows([[1, 1]]))
     assert k.cols == 1 and k.col(0) in ([1, -1], [-1, 1])
@@ -254,3 +276,15 @@ def test_smith_invariant_factors_match_sympy():
         assert smith_normal_form(m).invariant_factors() == [int(f) for f in theirs if f != 0]
 
     agree()
+
+
+@PROPERTY
+@given(small_matrices(wide=True), st.data())
+def test_cokernel_quotient_by_matches_augmented_relations(m, data):
+    """Quotienting in the k invariant-factor coordinates gives the same
+    group as the Smith form of the relations augmented by the vectors."""
+    assume(len(smith_normal_form(m).invariant_factors()) == m.rows)  # finite cokernel
+    vec = st.lists(st.integers(-6, 6), min_size=m.rows, max_size=m.rows)
+    vecs = data.draw(st.lists(vec, max_size=3))
+    expected = cokernel(m.hstack(IntMatrix.from_cols(vecs, m.rows))).group
+    assert Cokernel(m).quotient_by(vecs) == expected
