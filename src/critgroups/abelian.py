@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .intmatrix import IntMatrix, Lattice, integer_kernel, smith_normal_form
+from .intmatrix import IntMatrix, Lattice, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -211,19 +211,14 @@ class GroupHom:
 
 
 def kernel_of_hom(h: GroupHom) -> FinAbGroup:
-    """Invariant factors of ker(h), computed on integer lattices.
+    """Invariant factors of ker(h), as the cokernel of the dual map.
 
-    Lifts the condition  matrix @ x == 0 in the target  to the integer
-    lattice {x : matrix @ x in relation lattice of target}, then divides
-    by the source relations.
+    Finite abelian groups are self-dual, and ker(h) is dual to the
+    cokernel of h's dual map.  On the characters e_j -> 1/a_j that map
+    sends target character i to column i of N[j][i] = matrix[i, j] *
+    a_j / b_i, integral as h is well defined; so ker(h) is the cokernel
+    of [diag(a) | N].
     """
-    k = len(h.source_moduli)
-    if k == 0:
-        return FinAbGroup.trivial()
-    ker = integer_kernel(h.matrix.hstack(IntMatrix.diagonal(list(h.target_moduli))))
-    preimage_cols = [ker.col(j)[:k] for j in range(ker.cols)]
-    source_rel = IntMatrix.diagonal(list(h.source_moduli))
-    for j in range(source_rel.cols):
-        preimage_cols.append(source_rel.col(j))
-    preimage = IntMatrix.from_cols(preimage_cols, k)
-    return lattice_quotient(preimage, source_rel)
+    a, b = h.source_moduli, h.target_moduli
+    dual = [[h.matrix[i, j] * a[j] // b[i] for j in range(len(a))] for i in range(len(b))]
+    return cokernel(IntMatrix.diagonal(list(a)).hstack(IntMatrix.from_cols(dual, len(a)))).group

@@ -48,21 +48,14 @@ def compose(outer: Perm, inner: Perm) -> Perm:
     return tuple(outer[inner[v]] for v in range(len(inner)))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
+def _powers(p: Perm) -> list[Perm]:
+    """The cyclic group generated by p: identity, p, p^2, ..."""
+    out = [identity_perm(len(p))]
     q = p
-    k = 1
-    while q != identity_perm(n):
+    while q != out[0]:
+        out.append(q)
         q = compose(p, q)
-        k += 1
-    return k
+    return out
 
 
 def check_automorphism(g: Multigraph, p: Sequence[int]) -> Perm:
@@ -160,6 +153,10 @@ class DihedralAction:
 
     @classmethod
     def build(cls, g: Multigraph, sigma1: Sequence[int], sigma2: Sequence[int]) -> "DihedralAction":
+        """Two distinct non-identity involutions generate a dihedral group
+        of order exactly 2n, n the order of rho = sigma2 . sigma1; once
+        they are checked, its elements are written down as rho^k and
+        rho^k . sigma1 for 0 <= k < n."""
         s1 = check_automorphism(g, sigma1)
         s2 = check_automorphism(g, sigma2)
         nv = g.vertex_count
@@ -167,15 +164,11 @@ class DihedralAction:
             raise ValueError("sigma1 is not an involution")
         if compose(s2, s2) != identity_perm(nv) or s2 == identity_perm(nv):
             raise ValueError("sigma2 is not an involution")
-        n = perm_order(compose(s2, s1))
-        if n < 2:
+        if s1 == s2:
             raise ValueError("sigma2 . sigma1 must have order at least 2")
-        elements = generate_group(g, [s1, s2])
-        if len(elements) != 2 * n:
-            raise ValueError(
-                f"generated group has order {len(elements)}, expected {2 * n}"
-            )
-        return cls(n=n, sigma1=s1, sigma2=s2, elements=tuple(elements))
+        rotations = _powers(compose(s2, s1))
+        elements = sorted(rotations + [compose(r, s1) for r in rotations])
+        return cls(n=len(rotations), sigma1=s1, sigma2=s2, elements=tuple(elements))
 
     @property
     def rotation(self) -> Perm:
@@ -183,13 +176,7 @@ class DihedralAction:
         return compose(self.sigma2, self.sigma1)
 
     def rotation_subgroup(self) -> list[Perm]:
-        rho = self.rotation
-        out = [identity_perm(len(rho))]
-        q = rho
-        while q != out[0]:
-            out.append(q)
-            q = compose(rho, q)
-        return out
+        return _powers(self.rotation)
 
 
 @dataclass(frozen=True)

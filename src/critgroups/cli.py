@@ -130,7 +130,7 @@ def _report_labeling_failure(g, action, exc, fmt) -> None:
 
     cg = critical_group(g)
     orders = []
-    for gens in ([action.sigma1], [action.sigma2], action.rotation_subgroup()):
+    for gens in ([action.sigma1], [action.sigma2], [action.rotation]):
         q = quotient_graph(g, gens)
         orders.append(critical_group(q.quotient).group.order)
     prod = orders[0] * orders[1] * orders[2]

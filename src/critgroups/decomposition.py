@@ -103,8 +103,8 @@ class DecompositionContext:
         self.n = action.n
         self.q1 = quotient_graph(g, [action.sigma1])
         self.q2 = quotient_graph(g, [action.sigma2])
-        self.q3 = quotient_graph(g, action.rotation_subgroup())
-        self.qhat = quotient_graph(g, action.elements)
+        self.q3 = quotient_graph(g, [action.rotation])
+        self.qhat = quotient_graph(g, [action.sigma1, action.sigma2])
         self.cg = critical_group(g)
         self.cg_h = tuple(
             critical_group(q.quotient) for q in (self.q1, self.q2, self.q3)

@@ -98,11 +98,9 @@ class CriticalGroupData:
             raise DisconnectedGraphError("critical group needs a connected graph")
         self.graph = graph
         self.root = 0
-        # One vertex: no relations on Z^0, whose cokernel is trivial.
-        if graph.vertex_count >= 2:
-            self.reduced = reduced_laplacian(graph, self.root)
-        else:
-            self.reduced = IntMatrix(0, 0, [])
+        # The empty graph has no root; its group is trivial.
+        n = graph.vertex_count
+        self.reduced = reduced_laplacian(graph, self.root) if n else IntMatrix(0, 0, [])
         self._coker = cokernel(self.reduced)
         self.group = self._coker.group
 

@@ -25,13 +25,12 @@ class IntMatrix:
         self._data = tuple(data)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-        return cls(r, c, [x for row in rows for x in row])
+    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """Matrix with the given rows, each of length ``cols``; the shape
+        is kept when there are no rows or no columns."""
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), cols, [x for r in rows for x in r])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
@@ -91,7 +90,7 @@ class IntMatrix:
                     for j in range(other.cols)
                 ]
             )
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, [])
+        return IntMatrix.from_rows(out, other.cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
@@ -262,11 +261,10 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             negate_row(t)
         t += 1
 
-    s = IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, [])
     return SnfResult(
-        U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, []),
-        S=s,
-        Uinv=IntMatrix.from_rows(uinv) if rows else IntMatrix(0, 0, []),
+        U=IntMatrix.from_rows(u, rows),
+        S=IntMatrix.from_rows(a, cols),
+        Uinv=IntMatrix.from_rows(uinv, rows),
     )
 
 
@@ -348,8 +346,7 @@ def hermite_normal_form(m: IntMatrix) -> HnfResult:
                 add_col(j, pivot_col, -q)
         pivot_col += 1
 
-    h = IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, [])
-    return HnfResult(H=h, T=IntMatrix.from_rows(t) if cols else IntMatrix(0, 0, []))
+    return HnfResult(H=IntMatrix.from_rows(a, cols), T=IntMatrix.from_rows(t, cols))
 
 
 class Lattice:

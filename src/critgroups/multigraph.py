@@ -97,25 +97,23 @@ def adjacency_matrix(g: Multigraph) -> IntMatrix:
         if u != v:
             a[u][v] += 1
             a[v][u] += 1
-    return IntMatrix.from_rows(a) if n else IntMatrix(0, 0, [])
+    return IntMatrix.from_rows(a, n)
 
 
 def laplacian(g: Multigraph) -> IntMatrix:
     """Degree matrix minus adjacency matrix (positive semidefinite)."""
     n = g.vertex_count
-    a = adjacency_matrix(g).to_rows() if n else []
+    a = adjacency_matrix(g).to_rows()
     rows = []
     for i in range(n):
         row = [-x for x in a[i]]
         row[i] = sum(a[i])  # loopless degree: adjacency has no loops
         rows.append(row)
-    return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, [])
+    return IntMatrix.from_rows(rows, n)
 
 
 def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
-    """Laplacian with the root's row and column deleted."""
-    if g.vertex_count < 2:
-        raise ValueError("need at least two vertices")
+    """Laplacian with the root's row and column deleted; 0 x 0 on one vertex."""
     if not g.is_connected():
         raise DisconnectedGraphError("reduced Laplacian needs a connected graph")
     if not (0 <= root < g.vertex_count):
@@ -123,7 +121,7 @@ def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
     lap = laplacian(g)
     keep = [i for i in range(g.vertex_count) if i != root]
     rows = [[lap[i, j] for j in keep] for i in keep]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(rows, len(keep))
 
 
 def spanning_tree_count(g: Multigraph) -> int:

@@ -5,6 +5,8 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critgroups.abelian import (
     FinAbGroup,
@@ -16,7 +18,7 @@ from critgroups.abelian import (
     kernel_of_hom,
     lattice_quotient,
 )
-from critgroups.intmatrix import IntMatrix
+from critgroups.intmatrix import IntMatrix, integer_kernel
 
 
 def image_order(h):
@@ -88,7 +90,7 @@ def test_direct_sum_properties():
 def test_cokernel_examples_and_coordinates():
     ck = cokernel(IntMatrix.diagonal([2, 2]))
     assert ck.group.factors == (2, 2)
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    m = IntMatrix.from_rows([[2, 4], [6, 8]], 2)
     ck = cokernel(m)
     assert ck.group.factors == (2, 4)
     # projection kills the relations and is additive
@@ -108,13 +110,13 @@ def test_cokernel_examples_and_coordinates():
 
 
 def test_cokernel_of_unimodular_is_trivial():
-    m = IntMatrix.from_rows([[1, 1], [0, 1]])
+    m = IntMatrix.from_rows([[1, 1], [0, 1]], 2)
     assert cokernel(m).group.is_trivial()
 
 
 def test_cokernel_rejects_infinite_quotient():
     with pytest.raises(ValueError):
-        cokernel(IntMatrix.from_rows([[1, 1], [1, 1]]))
+        cokernel(IntMatrix.from_rows([[1, 1], [1, 1]], 2))
 
 
 def test_lattice_quotient_examples():
@@ -128,7 +130,7 @@ def test_lattice_quotient_examples():
 
 
 def test_group_hom_examples():
-    summ = GroupHom((2, 2), (2,), IntMatrix.from_rows([[1, 1]]))
+    summ = GroupHom((2, 2), (2,), IntMatrix.from_rows([[1, 1]], 2))
     assert kernel_of_hom(summ).factors == (2,)
     assert image_order(summ) == 2
     zero = GroupHom((4, 6), (7,), IntMatrix.zero(1, 2))
@@ -141,8 +143,8 @@ def test_group_hom_examples():
 
 def test_group_hom_well_definedness():
     with pytest.raises(ValueError):
-        GroupHom((2,), (4,), IntMatrix.from_rows([[1]]))  # 2*1 not 0 mod 4
-    GroupHom((2,), (4,), IntMatrix.from_rows([[2]]))  # fine
+        GroupHom((2,), (4,), IntMatrix.from_rows([[1]], 1))  # 2*1 not 0 mod 4
+    GroupHom((2,), (4,), IntMatrix.from_rows([[2]], 1))  # fine
 
 
 def test_random_homs_kernel_times_image():
@@ -166,6 +168,35 @@ def test_random_homs_kernel_times_image():
         # kernel of the zero map is the whole source
         zero = GroupHom(source, target, IntMatrix.zero(m, k))
         assert is_isomorphic(kernel_of_hom(zero), FinAbGroup(source))
+
+
+def kernel_by_preimage_lattice(h):
+    """Reference route for ``kernel_of_hom``: the lattice of x with
+    matrix @ x in the target's relation lattice (an integer kernel),
+    modulo the source's relations (a lattice quotient)."""
+    k = len(h.source_moduli)
+    if k == 0:
+        return FinAbGroup.trivial()
+    ker = integer_kernel(h.matrix.hstack(IntMatrix.diagonal(list(h.target_moduli))))
+    source_rel = IntMatrix.diagonal(list(h.source_moduli))
+    preimage = IntMatrix.from_cols([ker.col(j)[:k] for j in range(ker.cols)], k)
+    return lattice_quotient(preimage.hstack(source_rel), source_rel)
+
+
+@st.composite
+def well_defined_homs(draw):
+    """Homs whose entry (i, j) is a multiple of b_i / gcd(a_j, b_i), with
+    moduli of 1 and empty sources or targets allowed."""
+    moduli = st.lists(st.integers(1, 12), max_size=3)
+    source, target = tuple(draw(moduli)), tuple(draw(moduli))
+    cols = [[b // gcd(a, b) * draw(st.integers(-4, 4)) for b in target] for a in source]
+    return GroupHom(source, target, IntMatrix.from_cols(cols, len(target)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(well_defined_homs())
+def test_kernel_of_hom_matches_preimage_lattice(h):
+    assert kernel_of_hom(h) == kernel_by_preimage_lattice(h)
 
 
 def test_serialization():

@@ -20,7 +20,13 @@ from critgroups.actions import (
     pair_stabilizer,
     stabilizer,
 )
-from critgroups.families import circulant, intro_counterexample, klein_example
+from critgroups.families import (
+    chained_copies,
+    circulant,
+    concentric_polygon,
+    intro_counterexample,
+    klein_example,
+)
 from critgroups.multigraph import Multigraph
 
 
@@ -111,6 +117,39 @@ def test_dihedral_action_validation():
     act = DihedralAction.build(c6, refl, [(1 - i) % 6 for i in range(6)])
     assert act.n == 6
     assert len(act.elements) == 12
+
+
+def _family_actions():
+    yield circulant(7, [1, 2])
+    yield circulant(8, [1, 4])
+    yield circulant(21, [1, 2, 3])
+    for n in (3, 4, 5, 8):
+        yield concentric_polygon(n)
+    yield klein_example()
+    yield intro_counterexample()
+    edge = (Multigraph.from_edges(2, [(0, 1)]), [1, 0], 0, 1)
+    path = (Multigraph.from_edges(3, [(0, 1), (1, 2)]), [2, 1, 0], 0, 2)
+    square = (cycle(4), [2, 1, 0, 3], 0, 2)
+    for base, phi, a, b in (edge, path, square):
+        for n in (3, 4, 9):
+            yield chained_copies(base, phi, a, b, n)
+    rng = random.Random(53)
+    for _ in range(12):
+        n = rng.randint(3, 16)
+        steps = [1] + rng.sample(range(2, n), rng.randint(0, min(3, n - 2)))
+        yield circulant(n, steps)
+
+
+def test_written_down_dihedral_group_matches_its_closure():
+    """The elements rho^k and rho^k . sigma1 are exactly the closure of the
+    two involutions, in the same order, and the rotations number n."""
+    for g, act in _family_actions():
+        assert act.elements == tuple(generate_group(g, [act.sigma1, act.sigma2]))
+        assert len(act.rotation_subgroup()) == act.n
+        assert len(act.elements) == 2 * act.n
+    refl = [(6 - i) % 6 for i in range(6)]
+    with pytest.raises(ValueError, match="order at least 2"):
+        DihedralAction.build(cycle(6), refl, refl)
 
 
 def test_dihedral_element_structure():

@@ -51,6 +51,22 @@ def test_compute_single_edge(capsys, tmp_path):
     assert doc["invariant_factors"] == [] and doc["spanning_trees"] == 1
 
 
+@pytest.mark.parametrize("vertices", [[], ["a"]], ids=["empty", "one_vertex"])
+def test_compute_trivial_graphs(capsys, tmp_path, vertices):
+    """The empty graph has no root and the one-vertex graph an empty
+    reduced Laplacian; both have the trivial group and one spanning tree."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": []}))
+    assert run(capsys, "compute", str(path)) == (
+        0,
+        "critical group: 0\norder: 1\nspanning trees: 1\n",
+        "",
+    )
+    code, out, err = run(capsys, "--format", "json", "compute", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"invariant_factors": [], "order": 1, "spanning_trees": 1}
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import critgroups
-from critgroups import divisors, intmatrix
+from critgroups import actions, divisors, intmatrix
 from critgroups.abelian import FinAbGroup, cokernel, is_isomorphic
 from critgroups.decomposition import (
     DecompositionContext,
@@ -480,24 +480,27 @@ def _record_inner_calls(mp, module, name, inner):
 @pytest.mark.parametrize(
     "maker, oracle, hnfs",
     [
-        (lambda: concentric_polygon(8), False, 4),
-        (lambda: chain("cycle4", 9), False, 6),
+        (lambda: concentric_polygon(8), False, 2),
+        (lambda: chain("cycle4", 9), False, 2),
         # One-vertex rotation quotient: pair and triple generators coincide.
-        (lambda: circulant(21, [1, 2, 3]), True, 5),
+        (lambda: circulant(21, [1, 2, 3]), True, 3),
     ],
     ids=["concentric_polygon(8)", "chained_copies(cycle4,9)", "circulant(21,[1,2,3])-oracle"],
 )
 def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs):
     """A deterministic gate on repeated exact work: during a verify each
     HNF input is distinct, each generated subgroup is computed once, the
-    number of HNFs is fixed and does not grow with the sweep length, and
-    the pullback quotient is computed once, over the group's own
-    invariant-factor coordinates."""
+    number of HNFs is fixed and does not grow with the sweep length, the
+    pullback quotient is computed once, over the group's own
+    invariant-factor coordinates, and every quotient graph's group is
+    closed from at most two generators, never from a list of its
+    elements."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
-        ctx = DecompositionContext(g, act)
         with monkeypatch.context() as mp:
+            closures = _record_calls(mp, actions, "generate_group", arg=1)
+            ctx = DecompositionContext(g, act)
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
             quotients = _record_calls(mp, divisors, "quotient_by_subgroup")
@@ -509,5 +512,6 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs):
         assert subgroups and len(set(gen_lists)) == len(gen_lists)
         assert len(quotients) == 1
         assert [m.rows for m in quotient_snfs[0]] == [len(ctx.cg.moduli)]
+        assert closures and max(len(gens) for gens in closures) <= 2
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50] == hnfs

@@ -48,7 +48,7 @@ def det_by_expansion(m):
     sign = 1
     for j in range(n):
         minor = IntMatrix.from_rows(
-            [[m[i, k] for k in range(n) if k != j] for i in range(1, n)]
+            [[m[i, k] for k in range(n) if k != j] for i in range(1, n)], n - 1
         )
         total += sign * m[0, j] * det_by_expansion(minor)
         sign = -sign
@@ -102,7 +102,7 @@ def test_smith_factors_multiply_to_determinant():
 
 def test_smith_examples():
     assert smith_normal_form(IntMatrix.diagonal([2, 6])).invariant_factors() == [2, 6]
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    m = IntMatrix.from_rows([[2, 4], [6, 8]], 2)
     assert smith_normal_form(m).invariant_factors() == [2, 4]
 
 
@@ -126,8 +126,8 @@ def test_hermite_invariants_bulk():
 
 
 def test_hermite_same_lattice_same_form():
-    a = IntMatrix.from_rows([[1, 1], [0, 2]])
-    b = IntMatrix.from_rows([[1, 0], [0, 2]])
+    a = IntMatrix.from_rows([[1, 1], [0, 2]], 2)
+    b = IntMatrix.from_rows([[1, 0], [0, 2]], 2)
     # equal column lattices, checked by mutual membership
     for j in range(2):
         assert lattice_contains(a, b.col(j))
@@ -140,7 +140,7 @@ def test_hermite_same_lattice_same_form():
 
 
 def test_lattice_membership_trivial_cases():
-    m = IntMatrix.from_rows([[2, 0], [0, 2]])
+    m = IntMatrix.from_rows([[2, 0], [0, 2]], 2)
     assert lattice_contains(m, [0, 0])
     assert lattice_contains(m, m.col(0))
     assert lattice_contains(m, m.col(1))
@@ -201,7 +201,7 @@ def test_lattice_reuses_one_hermite_form_for_many_queries():
 def test_matrices_keep_their_shape_when_empty():
     assert IntMatrix.from_cols([[], [], []], 0) == IntMatrix(0, 3, [])
     assert IntMatrix.from_cols([], 4) == IntMatrix(4, 0, [])
-    assert IntMatrix.from_cols([[1, 2], [3, 4], [5, 6]], 2) == IntMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
+    assert IntMatrix.from_cols([[1, 2], [3, 4], [5, 6]], 2) == IntMatrix.from_rows([[1, 3, 5], [2, 4, 6]], 3)
     assert IntMatrix(0, 2, []).hstack(IntMatrix(0, 3, [])) == IntMatrix(0, 5, [])
     assert IntMatrix(2, 0, []).hstack(IntMatrix.identity(2)) == IntMatrix.identity(2)
     with pytest.raises(ValueError):
@@ -210,11 +210,27 @@ def test_matrices_keep_their_shape_when_empty():
         IntMatrix.from_cols([[1, 2]], 3)
 
 
+def test_from_rows_keeps_its_shape_when_empty():
+    assert IntMatrix.from_rows([], 3) == IntMatrix(0, 3, [])
+    assert IntMatrix.from_rows([[], []], 0) == IntMatrix(2, 0, [])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix.from_rows([[1, 2], [3]], 2)
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix.from_rows([[1, 2]], 3)
+    # The normal forms and products build their results with from_rows.
+    snf = smith_normal_form(IntMatrix(0, 3, []))
+    assert (snf.U, snf.S, snf.Uinv) == (IntMatrix(0, 0, []), IntMatrix(0, 3, []), IntMatrix(0, 0, []))
+    hnf = hermite_normal_form(IntMatrix(2, 0, []))
+    assert (hnf.H, hnf.T) == (IntMatrix(2, 0, []), IntMatrix(0, 0, []))
+    assert IntMatrix(0, 2, []) * IntMatrix.identity(2) == IntMatrix(0, 2, [])
+    assert IntMatrix(2, 0, []) * IntMatrix(0, 3, []) == IntMatrix.zero(2, 3)
+
+
 def test_integer_kernel():
-    k = integer_kernel(IntMatrix.from_rows([[1, 1]]))
+    k = integer_kernel(IntMatrix.from_rows([[1, 1]], 2))
     assert k.cols == 1 and k.col(0) in ([1, -1], [-1, 1])
-    assert integer_kernel(IntMatrix.from_rows([[2, 0], [0, 3]])).cols == 0
-    k = integer_kernel(IntMatrix.from_rows([[2, 4]]))
+    assert integer_kernel(IntMatrix.from_rows([[2, 0], [0, 3]], 2)).cols == 0
+    k = integer_kernel(IntMatrix.from_rows([[2, 4]], 2))
     assert k.cols == 1
     a, b = k.col(0)
     assert 2 * a + 4 * b == 0 and (abs(a), abs(b)) == (2, 1)

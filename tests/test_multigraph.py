@@ -31,19 +31,19 @@ def random_connected(rng, max_extra=4):
 
 def test_adjacency_examples():
     assert adjacency_matrix(TRIANGLE) == IntMatrix.from_rows(
-        [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 3
     )
     doubled = Multigraph.from_edges(2, [(0, 1), (0, 1)])
-    assert adjacency_matrix(doubled) == IntMatrix.from_rows([[0, 2], [2, 0]])
+    assert adjacency_matrix(doubled) == IntMatrix.from_rows([[0, 2], [2, 0]], 2)
     loop = Multigraph.from_edges(1, [(0, 0)])
-    assert adjacency_matrix(loop) == IntMatrix.from_rows([[0]])
+    assert adjacency_matrix(loop) == IntMatrix.from_rows([[0]], 1)
 
 
 def test_laplacian_examples():
     p2 = Multigraph.from_edges(2, [(0, 1)])
-    assert laplacian(p2) == IntMatrix.from_rows([[1, -1], [-1, 1]])
+    assert laplacian(p2) == IntMatrix.from_rows([[1, -1], [-1, 1]], 2)
     assert laplacian(TRIANGLE) == IntMatrix.from_rows(
-        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3
     )
 
 
@@ -65,10 +65,10 @@ def test_laplacian_rows_and_cols_sum_to_zero():
 
 def test_reduced_laplacian_examples():
     p2 = Multigraph.from_edges(2, [(0, 1)])
-    assert reduced_laplacian(p2, 0) == IntMatrix.from_rows([[1]])
-    assert reduced_laplacian(p2, 1) == IntMatrix.from_rows([[1]])
+    assert reduced_laplacian(p2, 0) == IntMatrix.from_rows([[1]], 1)
+    assert reduced_laplacian(p2, 1) == IntMatrix.from_rows([[1]], 1)
     red = reduced_laplacian(TRIANGLE, 0)
-    assert red == IntMatrix.from_rows([[2, -1], [-1, 2]])
+    assert red == IntMatrix.from_rows([[2, -1], [-1, 2]], 2)
     assert det_bareiss(red) == 3
     c4 = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert det_bareiss(reduced_laplacian(c4, 2)) == 4
@@ -86,8 +86,11 @@ def test_reduced_laplacian_root_independent():
 
 def test_reduced_laplacian_errors():
     single = Multigraph.from_edges(1, [])
+    assert reduced_laplacian(single, 0) == IntMatrix(0, 0, [])
     with pytest.raises(ValueError):
-        reduced_laplacian(single, 0)
+        reduced_laplacian(single, 1)
+    with pytest.raises(ValueError):
+        reduced_laplacian(Multigraph.from_edges(0, []), 0)
     disconnected = Multigraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         reduced_laplacian(disconnected, 0)
