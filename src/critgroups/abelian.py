@@ -8,6 +8,7 @@ list of cyclic moduli and refolds it into the canonical chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -119,22 +120,30 @@ class Cokernel:
 
     Of the Smith form only the k rows of the row transform whose factor
     d_r exceeds 1 are kept, each reduced mod d_r, with the k matching
-    columns of its inverse.  The quotient must be finite (the relations
-    have full row rank); this is asserted at construction.
+    columns of its inverse; each is built on first use, so a cokernel
+    read only for its group never builds a transform.  The quotient must
+    be finite (the relations have full row rank); this is asserted at
+    construction.
     """
 
     def __init__(self, relations: IntMatrix):
         self.relations = relations
-        snf = smith_normal_form(relations)
+        self._snf = smith_normal_form(relations)
         n = relations.rows
-        diag = [snf.S[i, i] for i in range(min(n, relations.cols))]
+        diag = [self._snf.S[i, i] for i in range(min(n, relations.cols))]
         if len(diag) < n or any(d == 0 for d in diag):
             raise ValueError("cokernel is infinite: relations not full rank")
-        kept = [(r, d) for r, d in enumerate(diag) if d != 1]
-        self.moduli = tuple(d for _, d in kept)
-        self._rows = [[x % d for x in snf.U.row(r)] for r, d in kept]
-        self._lifts = [snf.Uinv.col(r) for r, _ in kept]
+        self._kept = [r for r, d in enumerate(diag) if d != 1]
+        self.moduli = tuple(diag[r] for r in self._kept)
         self.group = FinAbGroup(self.moduli)
+
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        return [[x % d for x in self._snf.U.row(r)] for r, d in zip(self._kept, self.moduli)]
+
+    @cached_property
+    def _lifts(self) -> list[list[int]]:
+        return [self._snf.Uinv.col(r) for r in self._kept]
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Class of an ambient vector, in generator coordinates."""

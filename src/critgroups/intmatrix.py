@@ -7,7 +7,8 @@ operations return fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -148,12 +149,19 @@ def det_bareiss(m: IntMatrix) -> int:
 @dataclass(frozen=True)
 class SnfResult:
     """U * M * V == S with U unimodular, S in Smith normal form, and some
-    unimodular V that is not built: a cokernel reads only ``U`` (to
-    project) and ``Uinv`` (to lift generators)."""
+    unimodular V that is not built.
 
-    U: IntMatrix
+    The elimination logs its row operations instead of applying them to
+    transforms.  ``U`` (read to project) and ``Uinv`` (read to lift
+    generators) replay that log on first read, so a caller that reads
+    only S never builds them.  S is the only field.
+    """
+
     S: IntMatrix
-    Uinv: IntMatrix
+    row_ops: InitVar[Sequence[tuple]]
+
+    def __post_init__(self, row_ops):
+        object.__setattr__(self, "_row_ops", tuple(row_ops))
 
     def invariant_factors(self) -> list[int]:
         """Diagonal of S, nonzero entries only (they satisfy d1 | d2 | ...)."""
@@ -164,108 +172,108 @@ class SnfResult:
                 out.append(d)
         return out
 
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix.from_rows(self._replay(inverse=False), self.S.rows)
+
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return IntMatrix.from_cols(self._replay(inverse=True), self.S.rows)
+
+    def _replay(self, inverse: bool) -> list[list[int]]:
+        """Rows of U, or of the transpose of U⁻¹, from the identity: a row
+        op on U is the inverse column op on U⁻¹, a row op on its
+        transpose."""
+        m = IntMatrix.identity(self.S.rows).to_rows()
+        for kind, i, j, q in self._row_ops:
+            if kind == "swap":
+                m[i], m[j] = m[j], m[i]
+            elif kind == "negate":
+                m[i] = [-x for x in m[i]]
+            elif inverse:  # col_j(U⁻¹) -= q * col_i(U⁻¹)
+                m[j] = [x - q * y for x, y in zip(m[j], m[i])]
+            else:  # row_i(U) += q * row_j(U)
+                m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        return m
+
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with the row transform and its inverse.
+    """Smith normal form, with the row transform and its inverse built
+    on first read.
 
     Pivoting picks the smallest nonzero magnitude in the working
     submatrix to limit entry growth.
     """
     rows, cols = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    uinv = IntMatrix.identity(rows).to_rows()
-
-    # Row ops act on (a, u) and inversely on uinv (as column ops);
-    # column ops act on a alone.
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+    ops: list[tuple] = []
 
     def add_row(i, j, q):
-        # row_i += q * row_j ; uinv col_j -= q * col_i
-        ai, aj = a[i], a[j]
-        for k in range(cols):
-            ai[k] += q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(rows):
-            ui[k] += q * uj[k]
-        for r in range(rows):
-            uinv[r][j] -= q * uinv[r][i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(rows):
-            uinv[r][i] = -uinv[r][i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
-    def add_col(i, j, q):
-        for r in range(rows):
-            a[r][i] += q * a[r][j]
+        # Rows t.. are zero left of column t, and stay so.
+        a[i][t:] = [x + q * y for x, y in zip(a[i][t:], a[j][t:])]
+        ops.append(("add", i, j, q))
 
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # Find the smallest-magnitude nonzero pivot in a[t:, t:].
-        pi = pj = -1
-        best = None
+        # The first smallest-magnitude nonzero entry of a[t:, t:] in
+        # row-major order; nothing is smaller than 1, so stop there.
+        best = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pi, pj = i, j
-        if best is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
+            ops.append(("swap", t, pi, 0))
         if pj != t:
-            swap_cols(t, pj)
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         # Clear row and column t; restart if a remainder creates a
         # smaller entry elsewhere.
+        p = a[t][t]
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
+                add_row(i, t, -(a[i][t] // p))
                 if a[i][t] != 0:
                     dirty = True
+        # Column ops never change column t, so the rows they touch (a
+        # nonzero entry in column t) are fixed for the whole sweep.
+        touched = [a[r] for r in range(rows) if a[r][t] != 0]
+        pivot_row = a[t]
         for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j] != 0:
+            if pivot_row[j] != 0:
+                q = pivot_row[j] // p
+                for row in touched:
+                    row[j] -= q * row[t]
+                if pivot_row[j] != 0:
                     dirty = True
         if dirty:
             continue
         # Enforce divisibility: the pivot must divide everything below
-        # and to the right.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
+        # and to the right (a unit pivot always does).
+        if abs(p) != 1:
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+                add_row(t, offender, 1)
+                continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+            ops.append(("negate", t, t, 0))
         t += 1
 
-    return SnfResult(
-        U=IntMatrix.from_rows(u, rows),
-        S=IntMatrix.from_rows(a, cols),
-        Uinv=IntMatrix.from_rows(uinv, rows),
-    )
+    return SnfResult(IntMatrix.from_rows(a, cols), ops)
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,6 @@ class Multigraph:
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def vertex_by_label(self, name: str) -> int:
-        if self.labels is None:
-            return int(name)
-        return self.labels.index(name)
-
     def pair_multiplicities(self) -> Counter:
         """Counter over distinct non-loop endpoint pairs."""
         return Counter(e for e in self.edges if e[0] != e[1])
@@ -118,10 +113,9 @@ def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
         raise DisconnectedGraphError("reduced Laplacian needs a connected graph")
     if not (0 <= root < g.vertex_count):
         raise ValueError("root out of range")
-    lap = laplacian(g)
-    keep = [i for i in range(g.vertex_count) if i != root]
-    rows = [[lap[i, j] for j in keep] for i in keep]
-    return IntMatrix.from_rows(rows, len(keep))
+    rows = laplacian(g).to_rows()
+    del rows[root]
+    return IntMatrix.from_rows([r[:root] + r[root + 1 :] for r in rows], len(rows))
 
 
 def spanning_tree_count(g: Multigraph) -> int:

@@ -254,6 +254,30 @@ def test_divisor_json_round_trip():
     assert divisor_from_json(g, doc) == vals
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "-3", None, [1]])
+def test_divisor_json_rejects_non_integer_chip_counts(bad):
+    """A chip count that is not a JSON integer is an error, never
+    rounded, parsed from a string or read from a boolean."""
+    from critgroups.jsonio import GraphFormatError, divisor_from_json
+
+    g, _ = klein_example()
+    with pytest.raises(GraphFormatError, match="chip count for vertex 'x1' must be an integer"):
+        divisor_from_json(g, {"x1": bad})
+
+
+@pytest.mark.parametrize("label", ["nope", "3", "-1", "01"])
+def test_divisor_json_rejects_unknown_vertices(label):
+    """On an unlabeled graph the labels are "0".."n-1": a negative or
+    out-of-range index, or another spelling of a number, names no vertex."""
+    from critgroups.jsonio import GraphFormatError, divisor_from_json
+    from critgroups.multigraph import Multigraph
+
+    g = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    assert divisor_from_json(g, {"2": 1, "0": -1}) == [-1, 0, 1]
+    with pytest.raises(GraphFormatError, match="unknown vertex"):
+        divisor_from_json(g, {label: 1})
+
+
 def test_verify_rejects_negative_trials(capsys, tmp_path):
     path = write_family(capsys, tmp_path, "klein")
     assert run(capsys, "verify", str(path), "--trials", "-1")[0] == 2

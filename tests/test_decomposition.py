@@ -3,6 +3,7 @@ oracles, constructive splits, lattice quotients, and every structural
 check across the family instances."""
 
 import importlib
+import json
 import pkgutil
 import random
 
@@ -11,6 +12,7 @@ import pytest
 import critgroups
 from critgroups import actions, divisors, intmatrix
 from critgroups.abelian import FinAbGroup, cokernel, is_isomorphic
+from critgroups.cli import main
 from critgroups.decomposition import (
     DecompositionContext,
     check_kernel_structure,
@@ -41,6 +43,7 @@ from critgroups.families import (
     klein_example,
 )
 from critgroups.intmatrix import IntMatrix, Lattice, lattice_contains
+from critgroups.jsonio import graph_to_json
 from critgroups.multigraph import Multigraph, laplacian
 from critgroups.quotients import is_pullback, pullback, quotient_graph
 
@@ -477,29 +480,60 @@ def _record_inner_calls(mp, module, name, inner):
     return per_call
 
 
+def _record_replays(mp):
+    """Record each Smith form whose row-op log is replayed into a
+    transform (U or its inverse)."""
+    seen = []
+    raw = intmatrix.SnfResult._replay
+
+    def recording(self, inverse):
+        seen.append(self)
+        return raw(self, inverse)
+
+    mp.setattr(intmatrix.SnfResult, "_replay", recording)
+    return seen
+
+
+def _projected_smith_forms(ctx):
+    """The Smith forms of the cokernels a verify projects into or lifts
+    from: the graph's group, the four quotient groups, and the
+    divisor-class quotient."""
+    groups = (ctx.cg, *ctx.cg_h, ctx.cg_hat)
+    return [cg._coker._snf for cg in groups] + [ctx.divisor_quotient._snf]
+
+
+VERIFY_GATE_INSTANCES = [
+    (lambda: concentric_polygon(8), False, 2, 5),
+    (lambda: chain("cycle4", 9), False, 2, 6),
+    # One-vertex rotation quotient: pair and triple generators coincide.
+    (lambda: circulant(21, [1, 2, 3]), True, 3, 4),
+]
+VERIFY_GATE_IDS = [
+    "concentric_polygon(8)",
+    "chained_copies(cycle4,9)",
+    "circulant(21,[1,2,3])-oracle",
+]
+
+
 @pytest.mark.parametrize(
-    "maker, oracle, hnfs",
-    [
-        (lambda: concentric_polygon(8), False, 2),
-        (lambda: chain("cycle4", 9), False, 2),
-        # One-vertex rotation quotient: pair and triple generators coincide.
-        (lambda: circulant(21, [1, 2, 3]), True, 3),
-    ],
-    ids=["concentric_polygon(8)", "chained_copies(cycle4,9)", "circulant(21,[1,2,3])-oracle"],
+    "maker, oracle, hnfs, replays", VERIFY_GATE_INSTANCES, ids=VERIFY_GATE_IDS
 )
-def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs):
+def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, replays):
     """A deterministic gate on repeated exact work: during a verify each
     HNF input is distinct, each generated subgroup is computed once, the
     number of HNFs is fixed and does not grow with the sweep length, the
     pullback quotient is computed once, over the group's own
-    invariant-factor coordinates, and every quotient graph's group is
+    invariant-factor coordinates, every quotient graph's group is
     closed from at most two generators, never from a list of its
-    elements."""
+    elements, and only the cokernels that are projected into or lifted
+    from build a transform, a fixed number of them (a trivial group
+    builds none)."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
         with monkeypatch.context() as mp:
             closures = _record_calls(mp, actions, "generate_group", arg=1)
+            replayed = _record_replays(mp)
             ctx = DecompositionContext(g, act)
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
@@ -513,5 +547,37 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs):
         assert len(quotients) == 1
         assert [m.rows for m in quotient_snfs[0]] == [len(ctx.cg.moduli)]
         assert closures and max(len(gens) for gens in closures) <= 2
+        projected = {id(snf) for snf in _projected_smith_forms(ctx)}
+        assert {id(snf) for snf in replayed} <= projected
+        assert len(replayed) == replays
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50] == hnfs
+
+
+@pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)
+def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_path, maker):
+    """``compute`` reads only invariant factors, and the throwaway
+    cokernels of ``quotient_by``, ``lattice_quotient``, ``kernel_of_hom``
+    and ``laplacian_mod_symmetric_firings`` are read only for their
+    group: none of them replays a Smith form's row-op log."""
+    g, act = maker()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_to_json(g, act)))
+    replayed = _record_replays(monkeypatch)
+    assert main(["compute", str(path)]) == 0
+    ctx = DecompositionContext(g, act)
+    assert replayed == []
+    # Build the transforms the checks read from the shared groups first,
+    # so that only the throwaway cokernels remain to be counted.
+    ctx.cg.project([0] * g.vertex_count)
+    ctx.divisor_quotient.project([0] * ctx.divisor_quotient.relations.rows)
+    for cgq in (*ctx.cg_h, ctx.cg_hat):
+        cgq.generator_divisors()
+    shared = len(replayed)
+    laplacian_mod_symmetric_firings(ctx)
+    ctx.pair_image  # lattice_quotient
+    ctx.pullback_kernel  # kernel_of_hom
+    ctx.pullback_quotient  # Cokernel.quotient_by
+    firing = ctx.cg.reduced
+    ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
+    assert len(replayed) == shared

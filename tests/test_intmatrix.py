@@ -6,10 +6,18 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from critgroups.abelian import Cokernel, cokernel
+from critgroups.families import (
+    chained_copies,
+    circulant,
+    concentric_polygon,
+    h_graph,
+    intro_counterexample,
+    klein_example,
+)
 from critgroups.intmatrix import (
     IntMatrix,
     Lattice,
@@ -20,6 +28,9 @@ from critgroups.intmatrix import (
     smith_normal_form,
     solve_in_column_span,
 )
+from critgroups.multigraph import Multigraph, reduced_laplacian
+
+CYCLE4 = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def bounded_lattice_search(m, vec, bound):
@@ -84,6 +95,107 @@ def test_smith_normal_form_invariants_bulk():
             for j in range(m.cols):
                 if i != j:
                     assert snf.S[i, j] == 0
+
+
+def smith_normal_form_reference(m):
+    """The eager Smith form the logged one replaced, kept as a reference
+    route: the same pivoting, with U and U⁻¹ updated alongside every
+    row operation.  Returns (U, S, Uinv)."""
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    uinv = IntMatrix.identity(rows).to_rows()
+
+    # Row ops act on (a, u) and inversely on uinv (as column ops);
+    # column ops act on a alone.
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in range(rows):
+            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j ; uinv col_j -= q * col_i
+        ai, aj = a[i], a[j]
+        for k in range(cols):
+            ai[k] += q * aj[k]
+        ui, uj = u[i], u[j]
+        for k in range(rows):
+            ui[k] += q * uj[k]
+        for r in range(rows):
+            uinv[r][j] -= q * uinv[r][i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in range(rows):
+            uinv[r][i] = -uinv[r][i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+
+    def add_col(i, j, q):
+        for r in range(rows):
+            a[r][i] += q * a[r][j]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # Find the smallest-magnitude nonzero pivot in a[t:, t:].
+        pi = pj = -1
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pi, pj = i, j
+        if best is None:
+            break
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        # Clear row and column t; restart if a remainder creates a
+        # smaller entry elsewhere.
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                add_row(i, t, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                add_col(j, t, -q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # Enforce divisibility: the pivot must divide everything below
+        # and to the right.
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return (
+        IntMatrix.from_rows(u, rows),
+        IntMatrix.from_rows(a, cols),
+        IntMatrix.from_rows(uinv, rows),
+    )
 
 
 def test_smith_factors_multiply_to_determinant():
@@ -267,6 +379,61 @@ def test_smith_row_transform_spans_the_smith_lattice(m):
     snf = smith_normal_form(m)
     assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
     assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Any shape from 0x0 to 6x6.  A common scale above 1 leaves no unit
+    entry, so pivots need the divisibility repair; a last row that
+    combines the first two makes the matrix rank-deficient."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))
+    rows = [[scale * x for x in entries[i * c : (i + 1) * c]] for i in range(r)]
+    if r > 2 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [k * x + y for x, y in zip(rows[0], rows[1])]
+    return IntMatrix.from_rows(rows, c)
+
+
+def assert_smith_matches_reference(m):
+    u, s, uinv = smith_normal_form_reference(m)
+    snf = smith_normal_form(m)
+    assert snf.S == s
+    assert (snf.U, snf.Uinv) == (u, uinv)  # replayed on this first read
+
+
+@PROPERTY
+@example(IntMatrix(0, 0, []))
+@example(IntMatrix(0, 3, []))
+@example(IntMatrix(3, 0, []))
+@example(IntMatrix.from_rows([[2, 0], [0, 3]], 2))  # unit-free, needs the repair
+@example(IntMatrix.from_rows([[-4, 6], [6, -9]], 2))  # negative pivots, rank 1
+@example(IntMatrix.from_rows([[0, 0, 0], [0, -6, 4]], 3))  # zero row, wide
+@given(smith_inputs())
+def test_smith_form_matches_eager_reference(m):
+    """The logged elimination and the transforms replayed from its log
+    are identical, entry for entry, to the eager reference."""
+    assert_smith_matches_reference(m)
+
+
+FAMILY_GRAPHS = {
+    "circulant(5,[1])": lambda: circulant(5, [1])[0],
+    "circulant(9,[1,2])": lambda: circulant(9, [1, 2])[0],
+    "circulant(21,[1,2,3])": lambda: circulant(21, [1, 2, 3])[0],
+    "concentric_polygon(3)": lambda: concentric_polygon(3)[0],
+    "concentric_polygon(4)": lambda: concentric_polygon(4)[0],
+    "concentric_polygon(8)": lambda: concentric_polygon(8)[0],
+    "klein_example": lambda: klein_example()[0],
+    "intro_counterexample": lambda: intro_counterexample()[0],
+    "h_graph(4)": lambda: h_graph(4),
+    "chained_copies(cycle4,9)": lambda: chained_copies(CYCLE4, [2, 1, 0, 3], 0, 2, 9)[0],
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_GRAPHS)
+def test_smith_form_of_family_laplacians_matches_eager_reference(family):
+    assert_smith_matches_reference(reduced_laplacian(FAMILY_GRAPHS[family](), 0))
 
 
 @PROPERTY
