@@ -55,42 +55,12 @@ from .oracles import OracleRefused, brute_force_spanning_trees
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
 
-@dataclass(frozen=True)
-class OrbitSums:
-    """Index-wise sums of a divisor along the labeled orbits.
-
-    Entry i of each list is the total over all orbits of the value at
-    1-based index i+1 on the first strand (xs), second strand (ys), and
-    pinned rows (zs).
-    """
-
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    zs: tuple[int, ...]
-
-    def weighted_total(self) -> int:
-        return sum(
-            (i + 1) * (x + y + z)
-            for i, (x, y, z) in enumerate(zip(self.xs, self.ys, self.zs))
-        )
-
-    def total(self) -> int:
-        return sum(self.xs) + sum(self.ys) + sum(self.zs)
-
-
-def orbit_sums(labeling: OrbitLabeling, values: Sequence[int]) -> OrbitSums:
-    n = labeling.n
-    xs = [0] * n
-    ys = [0] * n
-    zs = [0] * n
-    for orb in labeling.free:
-        for i in range(n):
-            xs[i] += values[orb.xrow[i]]
-            ys[i] += values[orb.yrow[i]]
-    for orb in labeling.pinned:
-        for i in range(n):
-            zs[i] += values[orb.row[i]]
-    return OrbitSums(tuple(xs), tuple(ys), tuple(zs))
+def weighted_total(labeling: OrbitLabeling, values: Sequence[int]) -> int:
+    """Sum over every labeled row (both strands of each free orbit and
+    each pinned row) of (1-based index) * value."""
+    rows = [r for orb in labeling.free for r in (orb.xrow, orb.yrow)]
+    rows += [orb.row for orb in labeling.pinned]
+    return sum(i * values[v] for row in rows for i, v in enumerate(row, 1))
 
 
 class DecompositionContext:
@@ -278,9 +248,8 @@ def pair_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     for orb in lab.pinned:
         if sum(vals[v] for v in orb.row) % 2 != 0:
             return False
-    sums = orbit_sums(lab, vals)
     fl_total, _ = _flipped_sums(ctx, vals)
-    return (sums.weighted_total() - fl_total // 2) % n == 0
+    return (weighted_total(lab, vals) - fl_total // 2) % n == 0
 
 
 def _triple_feasible(
@@ -310,9 +279,8 @@ def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
         sy = sum(vals[v] for v in orb.yrow)
         if (sx - sy) % n != 0:
             return False
-    sums = orbit_sums(lab, vals)
     if n % 2 == 1:
-        return sums.weighted_total() % n == 0
+        return weighted_total(lab, vals) % n == 0
     for orb in lab.pinned:
         if sum(vals[v] for v in orb.row) % 2 != 0:
             return False
@@ -321,7 +289,7 @@ def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
         for orb in lab.free
     )
     fl_total, _ = _flipped_sums(ctx, vals)
-    base = sums.weighted_total() - fl_total // 2
+    base = weighted_total(lab, vals) - fl_total // 2
     if ctx.s == 0:
         return base % n == 0 and strand_excess % 2 == 0
     return _triple_feasible(ctx, base, strand_excess) is not None
@@ -363,9 +331,8 @@ def split_pair_sum(
     vals = ctx._check_divisor(d)
     n = ctx.n
     lab = ctx.labeling
-    sums = orbit_sums(lab, vals)
     fl_total, fl_seeds = _flipped_sums(ctx, vals)
-    balance = 2 * sums.weighted_total() - fl_total + 2 * n * fl_seeds
+    balance = 2 * weighted_total(lab, vals) - fl_total + 2 * n * fl_seeds
     if balance % (2 * n) != 0:
         raise AssertionError("degree balance not divisible; conditions lied")
     const_free = [0] * lab.t
@@ -473,9 +440,8 @@ def split_triple_sum(
             gamma += parity
         r[0] = -excess - gamma
     else:
-        sums = orbit_sums(lab, vals)
         fl_total, _ = _flipped_sums(ctx, vals)
-        base = sums.weighted_total() - fl_total // 2
+        base = weighted_total(lab, vals) - fl_total // 2
         feas = _triple_feasible(ctx, base, excess)
         if feas is None:
             raise AssertionError("feasibility vanished between check and split")
@@ -837,8 +803,7 @@ def check_tree_case(ctx: DecompositionContext) -> CheckResult:
     with cyclic cokernel of order n."""
     if ctx.n % 2 == 0:
         raise ValueError("tree case requires odd n")
-    tree = ctx.qhat.quotient
-    if len(tree.edges) != tree.vertex_count - 1 or not tree.is_connected():
+    if not ctx.qhat.quotient.is_tree():
         raise ValueError("full quotient is not a tree")
     ker = ctx.pullback_kernel
     quot = ctx.pullback_quotient
@@ -1012,8 +977,7 @@ def run_all_checks(
         check_divisor_class_quotient(ctx),
         check_order_identity(ctx),
     ]
-    tree = ctx.qhat.quotient
-    if ctx.n % 2 == 1 and tree.is_connected() and len(tree.edges) == tree.vertex_count - 1:
+    if ctx.n % 2 == 1 and ctx.qhat.quotient.is_tree():
         checks.append(check_tree_case(ctx))
     if trials > 0:
         checks.append(membership_sweep(ctx, trials, seed, oracle))

@@ -83,6 +83,9 @@ class Multigraph:
                     stack.append(w)
         return len(seen) == n
 
+    def is_tree(self) -> bool:
+        return len(self.edges) == self.vertex_count - 1 and self.is_connected()
+
 
 def adjacency_matrix(g: Multigraph) -> IntMatrix:
     """Symmetric matrix of parallel-edge counts; loops are excluded."""
@@ -98,12 +101,13 @@ def adjacency_matrix(g: Multigraph) -> IntMatrix:
 def laplacian(g: Multigraph) -> IntMatrix:
     """Degree matrix minus adjacency matrix (positive semidefinite)."""
     n = g.vertex_count
-    a = adjacency_matrix(g).to_rows()
-    rows = []
-    for i in range(n):
-        row = [-x for x in a[i]]
-        row[i] = sum(a[i])  # loopless degree: adjacency has no loops
-        rows.append(row)
+    rows = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            rows[u][v] -= 1
+            rows[v][u] -= 1
+            rows[u][u] += 1
+            rows[v][v] += 1
     return IntMatrix.from_rows(rows, n)
 
 

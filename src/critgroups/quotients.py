@@ -3,7 +3,7 @@
 The quotient identifies each vertex orbit to a point.  Edge orbits
 running between two distinct vertex orbits descend to quotient edges
 (one per orbit); edge orbits inside a single vertex orbit would become
-loops and are dropped, with their number reported.
+loops and are dropped.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class QuotientResult:
     quotient: Multigraph
     vertex_map: tuple[int, ...]
     multiplicity: tuple[int, ...]
-    collapsed_edges: int
 
     @property
     def group_order(self) -> int:
@@ -37,21 +36,6 @@ class QuotientResult:
 
     def fiber(self, qv: int) -> list[int]:
         return [v for v, img in enumerate(self.vertex_map) if img == qv]
-
-    def to_json(self) -> dict:
-        g, q = self.source, self.quotient
-        return {
-            "vertices": [q.label(v) for v in range(q.vertex_count)],
-            "edges": [[q.label(u), q.label(v)] for u, v in q.edges],
-            "vertex_map": {
-                g.label(v): q.label(self.vertex_map[v])
-                for v in range(g.vertex_count)
-            },
-            "multiplicity": {
-                g.label(v): self.multiplicity[v] for v in range(g.vertex_count)
-            },
-            "collapsed_edges": self.collapsed_edges,
-        }
 
 
 def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientResult:
@@ -73,12 +57,9 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
 
     labels = [f"o_{g.label(min(orb))}" for orb in orbs]
     between: dict[tuple[int, int], int] = {}
-    internal = 0
     for u, v in g.edges:
         a, b = orbit_index[u], orbit_index[v]
-        if a == b:
-            internal += 1
-        else:
+        if a != b:
             key = (a, b) if a < b else (b, a)
             between[key] = between.get(key, 0) + 1
 
@@ -91,7 +72,6 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
             )
         qedges.extend([(a, b)] * (count // order))
 
-    collapsed = _internal_orbit_count(g, elements, orbit_index)
     quotient = Multigraph.from_edges(len(orbs), qedges, labels)
     mult = tuple(order // len(orbs[orbit_index[v]]) for v in range(g.vertex_count))
     return QuotientResult(
@@ -100,59 +80,7 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
         quotient=quotient,
         vertex_map=tuple(orbit_index),
         multiplicity=mult,
-        collapsed_edges=collapsed,
     )
-
-
-def _internal_orbit_count(
-    g: Multigraph, elements: tuple[Perm, ...], orbit_index: list[int]
-) -> int:
-    """Number of edge orbits that collapse to loops.
-
-    Within one orbit of endpoint pairs, the pointwise pair stabilizer H
-    acts freely on the k parallel edges (that is harmonicity), so the
-    edges split into k/|H| regular H-blocks.  Pair-reversing elements
-    merge blocks two at a time; an odd leftover block needs an
-    involutive reverser to close up on itself.  Parallel edges carry no
-    identity of their own, so blocks are merged as far as the action
-    allows.
-    """
-    from .actions import compose, identity_perm, pair_stabilizer
-
-    pairs: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        if orbit_index[u] == orbit_index[v]:
-            key = (u, v) if u <= v else (v, u)
-            pairs[key] = pairs.get(key, 0) + 1
-    total = 0
-    seen: set[tuple[int, int]] = set()
-    ident = identity_perm(g.vertex_count)
-    for base, k in pairs.items():
-        if base in seen:
-            continue
-        u, v = base
-        orbit_of_pair = {tuple(sorted((p[u], p[v]))) for p in elements}
-        seen.update(orbit_of_pair)
-        h = len(pair_stabilizer(elements, u, v)) if u != v else len(
-            [p for p in elements if p[u] == u]
-        )
-        if k % h != 0:
-            raise AssertionError("harmonicity check missed a rigid stabilizer")
-        blocks = k // h
-        reversers = (
-            [p for p in elements if p[u] == v and p[v] == u] if u != v else []
-        )
-        if not reversers:
-            total += blocks
-        elif blocks % 2 == 0:
-            total += blocks // 2
-        else:
-            if not any(compose(r, r) == ident for r in reversers):
-                raise AssertionError(
-                    "parallel block cannot close under its reversers"
-                )
-            total += (blocks + 1) // 2
-    return total
 
 
 def pullback(q: QuotientResult, dhat: Sequence[int]) -> list[int]:
@@ -203,7 +131,7 @@ def tree_reduce(q: QuotientResult, delta: Sequence[int]) -> list[int]:
     """
     tree = q.quotient
     nq = tree.vertex_count
-    if len(tree.edges) != nq - 1 or not tree.is_connected():
+    if not tree.is_tree():
         raise ValueError("quotient is not a tree")
     dhat = pullback_witness(q, delta)
     if dhat is None:

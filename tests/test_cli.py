@@ -236,6 +236,38 @@ def test_verify_non_harmonic_exit_5(capsys, tmp_path):
     assert "harmonic" in err
 
 
+LOOPED_GRAPHS = {
+    "triangle": {
+        "vertices": ["v1", "v2", "v3"],
+        "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v1"], ["v1", "v1"], ["v2", "v2"], ["v3", "v3"]],
+        "actions": {
+            "sigma1": {"v1": "v3", "v2": "v2", "v3": "v1"},
+            "sigma2": {"v1": "v2", "v2": "v1", "v3": "v3"},
+        },
+    },
+    "cycle4": {
+        "vertices": ["v1", "v2", "v3", "v4"],
+        "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v1"]]
+        + [[v, v] for v in ("v1", "v2", "v3", "v4")],
+        "actions": {
+            "sigma1": {"v1": "v1", "v2": "v4", "v3": "v3", "v4": "v2"},
+            "sigma2": {"v1": "v2", "v2": "v1", "v3": "v4", "v4": "v3"},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED_GRAPHS))
+def test_verify_accepts_loops(capsys, tmp_path, name):
+    """Loops are legal input; chip-firing ignores them, so every check
+    still passes."""
+    path = tmp_path / "looped.json"
+    path.write_text(json.dumps(LOOPED_GRAPHS[name]))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert "all checks passed" in out
+
+
 def test_verify_chain_family_cli(capsys, tmp_path):
     path = write_family(capsys, tmp_path, "chain", "--n", "4", "--base", "path")
     code, out, _ = run(capsys, "--format", "json", "verify", str(path), "--trials", "8")

@@ -22,7 +22,6 @@ from critgroups.decomposition import (
     check_tree_case,
     divisors_mod_pullback_sums,
     laplacian_mod_symmetric_firings,
-    orbit_sums,
     pair_sum_conditions,
     pair_sum_matrix,
     pullback_conditions,
@@ -33,6 +32,7 @@ from critgroups.decomposition import (
     split_triple_sum,
     triple_sum_conditions,
     triple_sum_matrix,
+    weighted_total,
 )
 from critgroups.divisors import critical_group, quotient_by_subgroup
 from critgroups.families import (
@@ -80,16 +80,20 @@ KLEIN = ctx_for(klein_example())
 G4 = ctx_for(concentric_polygon(4))
 
 
-def test_orbit_sums_total_is_degree():
-    rng = random.Random(21)
+def test_labeled_rows_cover_vertices_and_weight_by_index():
+    """Both strands of each free orbit and every pinned row cover each
+    vertex exactly once, and a unit divisor at 0-based position i of a
+    row has weighted total i + 1."""
     for ctx in (C7, KLEIN, G4):
-        for _ in range(20):
-            d = random_degree_zero(ctx.graph, rng)
-            sums = orbit_sums(ctx.labeling, list(d.values))
-            assert sums.total() == 0
-        vals = [0] * ctx.graph.vertex_count
-        vals[0] = 3
-        assert orbit_sums(ctx.labeling, vals).total() == 3
+        lab = ctx.labeling
+        rows = [r for orb in lab.free for r in (orb.xrow, orb.yrow)]
+        rows += [orb.row for orb in lab.pinned]
+        assert sorted(v for row in rows for v in row) == list(range(ctx.graph.vertex_count))
+        for row in rows:
+            for i, v in enumerate(row):
+                unit = [0] * ctx.graph.vertex_count
+                unit[v] = 1
+                assert weighted_total(lab, unit) == i + 1
 
 
 def test_membership_examples_circulant():
@@ -310,6 +314,35 @@ def test_theorem_sweep(name, maker):
         order.computed["image_order"] * order.computed["cokernel_order"]
         == order.computed["group_order"]
     )
+
+
+LOOP_INSTANCES = {
+    "circulant(7,[1,2])": lambda: circulant(7, [1, 2]),
+    "circulant(8,[1,3])": lambda: circulant(8, [1, 3]),
+    "circulant(21,[1,2,3])": lambda: circulant(21, [1, 2, 3]),
+    **{f"concentric_polygon({n})": (lambda n=n: concentric_polygon(n)) for n in (4, 5, 8)},
+    "klein_example": klein_example,
+    "chained_copies(edge,6)": lambda: chain("edge", 6),
+    "chained_copies(cycle4,9)": lambda: chain("cycle4", 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_INSTANCES))
+def test_loops_leave_the_report_unchanged(name):
+    """Chip-firing cannot see loops, so one loop at every vertex changes
+    no group, quotient or check."""
+    g, act = LOOP_INSTANCES[name]()
+    looped = Multigraph.from_edges(
+        g.vertex_count, list(g.edges) + [(v, v) for v in range(g.vertex_count)], g.labels
+    )
+    plain = run_all_checks(DecompositionContext(g, act), trials=30, seed=5)
+    loops = run_all_checks(
+        DecompositionContext(looped, actions.DihedralAction.build(looped, act.sigma1, act.sigma2)),
+        trials=30,
+        seed=5,
+    )
+    assert plain.passed
+    assert loops.to_json() == plain.to_json()
 
 
 def test_uniform_instances_match_reference_shapes():

@@ -63,6 +63,16 @@ def test_laplacian_rows_and_cols_sum_to_zero():
             assert sum(lap.col(i)) == 0
 
 
+def test_laplacian_is_degree_minus_adjacency():
+    rng = random.Random(8)
+    for _ in range(50):
+        g = random_connected(rng)
+        a = adjacency_matrix(g).to_rows()
+        lap = laplacian(g).to_rows()
+        for i, row in enumerate(a):
+            assert lap[i] == [sum(row) if j == i else -x for j, x in enumerate(row)]
+
+
 def test_reduced_laplacian_examples():
     p2 = Multigraph.from_edges(2, [(0, 1)])
     assert reduced_laplacian(p2, 0) == IntMatrix.from_rows([[1]], 1)
@@ -103,6 +113,15 @@ def test_tree_count_on_trees():
     star = Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert spanning_tree_count(path) == 1
     assert spanning_tree_count(star) == 1
+
+
+def test_is_tree():
+    assert Multigraph.from_edges(1, []).is_tree()
+    assert Multigraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).is_tree()
+    assert not TRIANGLE.is_tree()
+    assert not Multigraph.from_edges(4, [(0, 1), (1, 2), (0, 2)]).is_tree()  # 3 edges, disconnected
+    assert not Multigraph.from_edges(2, [(0, 1), (1, 1)]).is_tree()  # a loop is a cycle
+    assert not Multigraph.from_edges(0, []).is_tree()
 
 
 def test_tree_count_matches_enumeration_on_small_graphs():

@@ -1,0 +1,162 @@
+"""Record the critgroups CLI on a fixed run set, one file per run.
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+Runs ``python -m critgroups`` from the ``src/`` next to this script, one
+child at a time.  Each run's command line, exit code, stdout and stderr
+go to ``OUTDIR/<command>.txt``.  The graph files are made by the same
+checkout's ``critgroups family`` (plus a few written here) in
+``OUTDIR/graphs``, and the children run there on relative file names, so
+no report carries an absolute path.  Two checkouts compare with
+
+    python3 A/tools/cli_snapshot.py /tmp/a
+    python3 B/tools/cli_snapshot.py /tmp/b
+    diff -r /tmp/a /tmp/b
+
+The run set (74 runs):
+  * ``--format json compute`` on the 19 family graphs and the two
+    looped graphs (a triangle and a 4-cycle with one loop per vertex);
+  * three verify runs on the 10 verify-ladder / sweep-oracle instances
+    of ``perfbench``, on ``klein``, ``circulant(7,[1,2])`` and ``intro``
+    (exit 4), and on the two looped graphs: ``--format json verify
+    --trials 25 --seed 7``, ``--format json verify --trials 150 --seed 7
+    --oracle`` and text ``verify --trials 0 --oracle``;
+  * ``--format json compute`` and text ``compute`` on the empty and the
+    one-vertex graph;
+  * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
+
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+FAMILIES = {
+    **{f"concentric_polygon({n})": ("concentric", "--n", str(n)) for n in (4, 8, 12, 48, 64)},
+    **{
+        f"chained_copies(cycle4,{n})": ("chain", "--n", str(n), "--base", "cycle4")
+        for n in (5, 9, 11, 15, 51, 67)
+    },
+    "chained_copies(path,15)": ("chain", "--n", "15", "--base", "path"),
+    "circulant(21,[1,2,3])": ("circulant", "--n", "21", "--steps", "1,2,3"),
+    "circulant(31,[1,2])": ("circulant", "--n", "31", "--steps", "1,2"),
+    "circulant(128,[1,2])": ("circulant", "--n", "128", "--steps", "1,2"),
+    "circulant(200,[1,3])": ("circulant", "--n", "200", "--steps", "1,3"),
+    "circulant(7,[1,2])": ("circulant", "--n", "7", "--steps", "1,2"),
+    "klein": ("klein",),
+    "intro": ("intro",),
+}
+
+VERIFIED = (
+    "concentric_polygon(4)",
+    "concentric_polygon(8)",
+    "concentric_polygon(12)",
+    "chained_copies(cycle4,5)",
+    "chained_copies(cycle4,11)",
+    "chained_copies(cycle4,15)",
+    "chained_copies(cycle4,9)",
+    "chained_copies(path,15)",
+    "circulant(21,[1,2,3])",
+    "circulant(31,[1,2])",
+    "klein",
+    "circulant(7,[1,2])",
+    "intro",
+    "looped_triangle",
+    "looped_cycle4",
+)
+
+
+def _looped(labels: list[str], cycle: list[tuple[str, str]], sigma1: dict, sigma2: dict) -> dict:
+    return {
+        "vertices": labels,
+        "edges": [list(e) for e in cycle] + [[v, v] for v in labels],
+        "actions": {"sigma1": sigma1, "sigma2": sigma2},
+    }
+
+
+WRITTEN = {
+    "empty": {"vertices": [], "edges": []},
+    "one_vertex": {"vertices": ["a"], "edges": []},
+    # one loop at every vertex; chip-firing ignores loops
+    "looped_triangle": _looped(
+        ["v1", "v2", "v3"],
+        [("v1", "v2"), ("v2", "v3"), ("v3", "v1")],
+        {"v1": "v3", "v2": "v2", "v3": "v1"},
+        {"v1": "v2", "v2": "v1", "v3": "v3"},
+    ),
+    "looped_cycle4": _looped(
+        ["v1", "v2", "v3", "v4"],
+        [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v1")],
+        {"v1": "v1", "v2": "v4", "v3": "v3", "v4": "v2"},
+        {"v1": "v2", "v2": "v1", "v3": "v4", "v4": "v3"},
+    ),
+}
+
+
+def file_name(name: str) -> str:
+    return "".join(c if c.isalnum() else "_" for c in name) + ".json"
+
+
+def run_set() -> list[tuple[str, ...]]:
+    runs: list[tuple[str, ...]] = []
+    for name in [*FAMILIES, "looped_triangle", "looped_cycle4"]:
+        runs.append(("--format", "json", "compute", file_name(name)))
+    for name in VERIFIED:
+        f = file_name(name)
+        runs.append(("--format", "json", "verify", f, "--trials", "25", "--seed", "7"))
+        runs.append(("--format", "json", "verify", f, "--trials", "150", "--seed", "7", "--oracle"))
+        runs.append(("verify", f, "--trials", "0", "--oracle"))
+    for name in ("empty", "one_vertex"):
+        runs.append(("--format", "json", "compute", file_name(name)))
+        runs.append(("compute", file_name(name)))
+    runs += [("--help",), ("compute", "--help"), ("verify", "--help"), ("family", "--help")]
+    return runs
+
+
+def critgroups(args: tuple[str, ...], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "critgroups", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    graphs = out / "graphs"
+    graphs.mkdir(parents=True, exist_ok=True)
+    for name, family_args in FAMILIES.items():
+        made = critgroups(("family", *family_args), graphs)
+        if made.returncode != 0:
+            print(f"family {name} failed: {made.stderr}", file=sys.stderr)
+            return 1
+        (graphs / file_name(name)).write_text(made.stdout)
+    for name, doc in WRITTEN.items():
+        (graphs / file_name(name)).write_text(json.dumps(doc))
+    runs = run_set()
+    for args in runs:
+        done = critgroups(args, graphs)
+        slug = "".join(c if c.isalnum() else "_" for c in "_".join(a.lstrip("-") for a in args))
+        (out / f"{slug}.txt").write_text(
+            f"$ critgroups {' '.join(args)}\nexit: {done.returncode}\n"
+            f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+        )
+    print(f"{len(runs)} runs written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
