@@ -117,33 +117,56 @@ class IntMatrix:
 
 
 def det_bareiss(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant by fraction-free (Bareiss) elimination over sparse rows.
 
-    Exact over the integers; every intermediate division is exact.
+    Each row is a dict of its nonzero entries.  Step k pivots on the
+    remaining row with the fewest nonzeros (lowest index on ties), on its
+    diagonal entry if nonzero, else on its lowest nonzero column; on a
+    symmetric pattern this is minimum-degree ordering.  With pivots
+    p_0 = 1, p_1, ..., every step-k entry is a (k+1)-minor of m, and a
+    row untouched since step s holds step-s values x whose step-k values
+    are x * p_k // p_s, exact because the result is a minor.  So step k
+    rewrites only the rows with a nonzero in the pivot column, each as
+    (x * p_k - x_c * pivot row) // p_s from its stored step-s values.
+    The determinant is the sign of the row-to-column pivot permutation
+    times p_n.
     """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(n)}
+    step = dict.fromkeys(rows, 0)  # the step each row's values belong to
+    pivots = [1]
+    pivot_col = [0] * n
+    for k in range(1, n + 1):
+        r = min(rows, key=lambda i: len(rows[i]))  # keys stay in index order
+        row, s = rows.pop(r), step.pop(r)
+        if not row:
+            return 0
+        if s < k - 1:
+            row = {j: x * pivots[-1] // pivots[s] for j, x in row.items()}
+        c = r if r in row else min(row)
+        pivot_col[r] = c
+        p = row[c]
+        for i, other in rows.items():
+            xc = other.get(c)
+            if xc is None:
+                continue
+            new = {j: x * p for j, x in other.items()}
+            for j, y in row.items():
+                new[j] = new.get(j, 0) - xc * y
+            d = pivots[step[i]]
+            rows[i] = {j: x // d for j, x in new.items() if x}
+            step[i] = k
+        pivots.append(p)
+    # The pivot permutation has sign (-1)^(n - its number of cycles).
+    sign = (-1) ** n
+    for start in range(n):
+        if pivot_col[start] >= 0:
+            sign, j = -sign, start
+            while pivot_col[j] >= 0:
+                pivot_col[j], j = -1, pivot_col[j]
+    return sign * pivots[-1]
 
 
 @dataclass(frozen=True)
@@ -181,20 +204,26 @@ class SnfResult:
         return IntMatrix.from_cols(self._replay(inverse=True), self.S.rows)
 
     def _replay(self, inverse: bool) -> list[list[int]]:
-        """Rows of U, or of the transpose of U⁻¹, from the identity: a row
-        op on U is the inverse column op on U⁻¹, a row op on its
-        transpose."""
-        m = IntMatrix.identity(self.S.rows).to_rows()
-        for kind, i, j, q in self._row_ops:
-            if kind == "swap":
-                m[i], m[j] = m[j], m[i]
-            elif kind == "negate":
-                m[i] = [-x for x in m[i]]
-            elif inverse:  # col_j(U⁻¹) -= q * col_i(U⁻¹)
-                m[j] = [x - q * y for x, y in zip(m[j], m[i])]
-            else:  # row_i(U) += q * row_j(U)
-                m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        return m
+        """Rows of U, or of the transpose of U⁻¹: a row op on U is the
+        inverse column op on U⁻¹, a row op on its transpose."""
+        return _replay_row_ops(self.S.rows, self._row_ops, inverse)
+
+
+def _replay_row_ops(n: int, ops: Sequence[tuple], inverse: bool = False) -> list[list[int]]:
+    """Rows of the n×n identity after the logged row ops (swap, negate,
+    and ("add", i, j, q): row_i += q * row_j) in order; with ``inverse``
+    each add becomes row_j -= q * row_i."""
+    m = IntMatrix.identity(n).to_rows()
+    for kind, i, j, q in ops:
+        if kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "negate":
+            m[i] = [-x for x in m[i]]
+        elif inverse:
+            m[j] = [x - q * y for x, y in zip(m[j], m[i])]
+        else:
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return m
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -283,10 +312,25 @@ class HnfResult:
     H is a lower staircase: reading columns left to right, pivot rows
     strictly increase, pivots are positive, entries left of a pivot in
     its row are reduced into [0, pivot), and zero columns trail.
+
+    The elimination logs its column operations; ``T`` (read to solve
+    and for kernels) replays that log on first read, so a caller that
+    reads only H never builds it.  H is the only field.
     """
 
     H: IntMatrix
-    T: IntMatrix
+    col_ops: InitVar[Sequence[tuple]]
+
+    def __post_init__(self, col_ops):
+        object.__setattr__(self, "_col_ops", tuple(col_ops))
+
+    @cached_property
+    def T(self) -> IntMatrix:
+        return IntMatrix.from_cols(self._replay(), self.H.cols)
+
+    def _replay(self) -> list[list[int]]:
+        """Columns of T: a column op on T is a row op on its transpose."""
+        return _replay_row_ops(self.H.cols, self._col_ops)
 
     def pivots(self) -> list[tuple[int, int]]:
         """(row, col) of each pivot."""
@@ -301,28 +345,18 @@ class HnfResult:
 
 
 def hermite_normal_form(m: IntMatrix) -> HnfResult:
-    """Column-style Hermite normal form via unimodular column operations."""
+    """Column-style Hermite normal form via unimodular column operations,
+    with the transform built on first read."""
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    t = IntMatrix.identity(cols).to_rows()
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
+    a = [m.col(j) for j in range(cols)]  # a[j][i] is entry (i, j)
+    ops: list[tuple] = []
 
     def add_col(i, j, q):
-        for r in range(rows):
-            a[r][i] += q * a[r][j]
-        for r in range(cols):
-            t[r][i] += q * t[r][j]
-
-    def negate_col(i):
-        for r in range(rows):
-            a[r][i] = -a[r][i]
-        for r in range(cols):
-            t[r][i] = -t[r][i]
+        # Column j is at or right of pivot_col, so zero above row r: each
+        # earlier row kept its one nonzero there in an earlier pivot
+        # column.  Only rows r.. of column i change.
+        a[i][r:] = [x + q * y for x, y in zip(a[i][r:], a[j][r:])]
+        ops.append(("add", i, j, q))
 
     pivot_col = 0
     for r in range(rows):
@@ -330,31 +364,30 @@ def hermite_normal_form(m: IntMatrix) -> HnfResult:
             break
         # gcd-reduce columns pivot_col.. on row r
         while True:
-            nz = [j for j in range(pivot_col, cols) if a[r][j] != 0]
+            nz = [j for j in range(pivot_col, cols) if a[j][r] != 0]
             if len(nz) <= 1:
                 break
-            jmin = min(nz, key=lambda j: abs(a[r][j]))
+            jmin = min(nz, key=lambda j: abs(a[j][r]))
             for j in nz:
                 if j != jmin:
-                    q = a[r][j] // a[r][jmin]
-                    add_col(j, jmin, -q)
-        nz = [j for j in range(pivot_col, cols) if a[r][j] != 0]
+                    add_col(j, jmin, -(a[j][r] // a[jmin][r]))
         if not nz:
             continue
-        j0 = nz[0]
-        if j0 != pivot_col:
-            swap_cols(pivot_col, j0)
-        if a[r][pivot_col] < 0:
-            negate_col(pivot_col)
+        if nz[0] != pivot_col:
+            a[pivot_col], a[nz[0]] = a[nz[0]], a[pivot_col]
+            ops.append(("swap", pivot_col, nz[0], 0))
+        if a[pivot_col][r] < 0:
+            a[pivot_col] = [-x for x in a[pivot_col]]
+            ops.append(("negate", pivot_col, pivot_col, 0))
         # reduce earlier columns against this pivot
-        p = a[r][pivot_col]
+        p = a[pivot_col][r]
         for j in range(pivot_col):
-            q = a[r][j] // p
+            q = a[j][r] // p
             if q:
                 add_col(j, pivot_col, -q)
         pivot_col += 1
 
-    return HnfResult(H=IntMatrix.from_rows(a, cols), T=IntMatrix.from_rows(t, cols))
+    return HnfResult(IntMatrix.from_cols(a, rows), ops)
 
 
 class Lattice:

@@ -8,6 +8,7 @@ Graph files look like
 
 Repeated pairs encode parallel edges and ["a", "a"] encodes a loop; the
 "actions" block is optional and maps vertex labels to vertex labels.
+Labels, edge endpoints and action images must be JSON strings.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     vertices = doc.get("vertices")
     if not isinstance(vertices, (list, tuple)):
         raise GraphFormatError("'vertices' must be a list of labels")
-    labels = [str(x) for x in vertices]
+    labels = list(vertices)
+    _require_labels(labels, "vertex label")
     if len(set(labels)) != len(labels):
         raise GraphFormatError("duplicate vertex labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -53,8 +55,9 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     for e in pairs:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"malformed edge {e!r}")
+        _require_labels(e, "edge endpoint")
         try:
-            edges.append((index[str(e[0])], index[str(e[1])]))
+            edges.append((index[e[0]], index[e[1]]))
         except KeyError as exc:
             raise GraphFormatError(f"edge {e!r} references unknown vertex") from exc
     g = Multigraph.from_edges(len(labels), edges, labels=labels)
@@ -71,8 +74,9 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
                 raise GraphFormatError(f"'{key}' must be an object mapping labels")
             if set(table) != set(labels):
                 raise GraphFormatError(f"'{key}' must map every vertex label")
+            _require_labels(table.values(), f"'{key}' image")
             try:
-                perms.append([index[str(table[lbl])] for lbl in labels])
+                perms.append([index[table[lbl]] for lbl in labels])
             except KeyError as exc:
                 raise GraphFormatError(f"'{key}' maps to unknown vertex") from exc
         try:
@@ -80,6 +84,13 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
         except ValueError as exc:
             raise GraphFormatError(f"invalid action: {exc}") from exc
     return g, action
+
+
+def _require_labels(values, what: str) -> None:
+    """Labels are JSON strings; a number or null is not turned into one."""
+    for x in values:
+        if not isinstance(x, str):
+            raise GraphFormatError(f"{what} {x!r} is not a string")
 
 
 def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:

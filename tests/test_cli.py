@@ -98,6 +98,31 @@ _MALFORMED = {
     # edges must be a list of vertex pairs
     "edges_number": {"vertices": ["a", "b", "c"], "edges": 5},
     "edges_null": {"vertices": ["a", "b", "c"], "edges": None},
+    # labels, endpoints and action images are strings, never numbers or
+    # null that would be read as their str()
+    "vertices_numbers": {
+        "vertices": [1, 2, 3],
+        "edges": [[1, 2], [2, 3], [3, 1]],
+        "actions": {"sigma1": {"1": "1", "2": "3", "3": "2"}, "sigma2": {"1": "2", "2": "1", "3": "3"}},
+    },
+    "vertex_null": {
+        "vertices": ["a", "b", None],
+        "edges": [["a", "b"], ["b", "None"], ["None", "a"]],
+        "actions": {
+            "sigma1": {"a": "a", "b": "None", "None": "b"},
+            "sigma2": {"a": "b", "b": "a", "None": "None"},
+        },
+    },
+    "edge_endpoint_number": {
+        "vertices": ["1", "2", "3"],
+        "edges": [[1, "2"], ["2", "3"], ["3", "1"]],
+        "actions": {"sigma1": {"1": "1", "2": "3", "3": "2"}, "sigma2": {"1": "2", "2": "1", "3": "3"}},
+    },
+    "action_image_number": {
+        "vertices": ["1", "2", "3"],
+        "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+        "actions": {"sigma1": {"1": 1, "2": 3, "3": 2}, "sigma2": {"1": "2", "2": "1", "3": "3"}},
+    },
 }
 
 

@@ -513,17 +513,17 @@ def _record_inner_calls(mp, module, name, inner):
     return per_call
 
 
-def _record_replays(mp):
-    """Record each Smith form whose row-op log is replayed into a
-    transform (U or its inverse)."""
+def _record_replays(mp, result=intmatrix.SnfResult):
+    """Record each normal form (a Smith form unless ``result`` says
+    otherwise) whose op log is replayed into a transform."""
     seen = []
-    raw = intmatrix.SnfResult._replay
+    raw = result._replay
 
-    def recording(self, inverse):
+    def recording(self, *args, **kwargs):
         seen.append(self)
-        return raw(self, inverse)
+        return raw(self, *args, **kwargs)
 
-    mp.setattr(intmatrix.SnfResult, "_replay", recording)
+    mp.setattr(result, "_replay", recording)
     return seen
 
 
@@ -614,3 +614,15 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     firing = ctx.cg.reduced
     ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
     assert len(replayed) == shared
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+@pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)
+def test_verify_builds_no_hermite_transform(monkeypatch, maker, oracle):
+    """The Hermite forms of a verify (``lattice_quotient`` and the oracle
+    sweep's lattices) are read only through H: none replays its log."""
+    g, act = maker()
+    replayed = _record_replays(monkeypatch, intmatrix.HnfResult)
+    hnf_inputs = _record_calls(monkeypatch, intmatrix, "hermite_normal_form")
+    assert run_all_checks(DecompositionContext(g, act), trials=10, seed=1, oracle=oracle).passed
+    assert hnf_inputs and replayed == []

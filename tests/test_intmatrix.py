@@ -66,6 +66,36 @@ def det_by_expansion(m):
     return total
 
 
+def det_bareiss_reference(m):
+    """The dense Bareiss elimination the sparse one replaced, kept as a
+    reference route: pivots down the diagonal, swapping in the first
+    lower row with a nonzero in the pivot column, and updates every
+    remaining entry at every step."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def test_determinant_against_cofactor_expansion():
     rng = random.Random(11)
     for _ in range(120):
@@ -196,6 +226,65 @@ def smith_normal_form_reference(m):
         IntMatrix.from_rows(a, cols),
         IntMatrix.from_rows(uinv, rows),
     )
+
+
+def hermite_normal_form_reference(m):
+    """The eager Hermite form the logged one replaced, kept as a
+    reference route: the same column operations, with T updated
+    alongside every one.  Returns (H, T)."""
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    t = IntMatrix.identity(cols).to_rows()
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    def add_col(i, j, q):
+        for r in range(rows):
+            a[r][i] += q * a[r][j]
+        for r in range(cols):
+            t[r][i] += q * t[r][j]
+
+    def negate_col(i):
+        for r in range(rows):
+            a[r][i] = -a[r][i]
+        for r in range(cols):
+            t[r][i] = -t[r][i]
+
+    pivot_col = 0
+    for r in range(rows):
+        if pivot_col >= cols:
+            break
+        # gcd-reduce columns pivot_col.. on row r
+        while True:
+            nz = [j for j in range(pivot_col, cols) if a[r][j] != 0]
+            if len(nz) <= 1:
+                break
+            jmin = min(nz, key=lambda j: abs(a[r][j]))
+            for j in nz:
+                if j != jmin:
+                    q = a[r][j] // a[r][jmin]
+                    add_col(j, jmin, -q)
+        nz = [j for j in range(pivot_col, cols) if a[r][j] != 0]
+        if not nz:
+            continue
+        j0 = nz[0]
+        if j0 != pivot_col:
+            swap_cols(pivot_col, j0)
+        if a[r][pivot_col] < 0:
+            negate_col(pivot_col)
+        # reduce earlier columns against this pivot
+        p = a[r][pivot_col]
+        for j in range(pivot_col):
+            q = a[r][j] // p
+            if q:
+                add_col(j, pivot_col, -q)
+        pivot_col += 1
+
+    return IntMatrix.from_rows(a, cols), IntMatrix.from_rows(t, cols)
 
 
 def test_smith_factors_multiply_to_determinant():
@@ -434,6 +523,69 @@ FAMILY_GRAPHS = {
 @pytest.mark.parametrize("family", FAMILY_GRAPHS)
 def test_smith_form_of_family_laplacians_matches_eager_reference(family):
     assert_smith_matches_reference(reduced_laplacian(FAMILY_GRAPHS[family](), 0))
+
+
+@pytest.mark.parametrize("family", FAMILY_GRAPHS)
+def test_hermite_form_of_family_laplacians_matches_eager_reference(family):
+    m = reduced_laplacian(FAMILY_GRAPHS[family](), 0)
+    hnf = hermite_normal_form(m)
+    assert (hnf.H, hnf.T) == hermite_normal_form_reference(m)
+
+
+@PROPERTY
+@example(IntMatrix(0, 0, []))
+@example(IntMatrix(0, 3, []))
+@example(IntMatrix(3, 0, []))
+@example(IntMatrix.from_rows([[0, 0, 0], [0, -6, 4]], 3))  # zero row, wide
+@example(IntMatrix.from_rows([[4, 6], [6, 9], [2, 3]], 2))  # rank 1, tall
+@given(smith_inputs())
+def test_hermite_form_matches_eager_reference(m):
+    """The logged elimination and the transform replayed from its log
+    are identical, entry for entry, to the eager reference."""
+    hnf = hermite_normal_form(m)
+    h, t = hermite_normal_form_reference(m)
+    assert hnf.H == h
+    assert hnf.T == t  # replayed on this first read
+
+
+@st.composite
+def det_inputs(draw):
+    """Square matrices of size 0 to 8.  Entries are mostly 0 or small,
+    and up to ±2^70 when big entries are on.  The shape is left as drawn,
+    or has its diagonal zeroed or its rows permuted (both force
+    off-diagonal pivots), or its last row replaced by a combination of
+    the first two or by zeros (singular)."""
+    n = draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.integers(-(2**70), 2**70))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["as_drawn", "zero_diagonal", "permuted", "combined", "zero_row"]))
+    if shape == "zero_diagonal":
+        for i in range(n):
+            rows[i][i] = 0
+    elif shape == "permuted":
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    elif shape == "combined" and n > 2:
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [k * x + y for x, y in zip(rows[0], rows[1])]
+    elif shape == "zero_row" and n:
+        rows[-1] = [0] * n
+    return IntMatrix.from_rows(rows, n)
+
+
+@PROPERTY
+@example(IntMatrix(0, 0, []))
+@example(IntMatrix.from_rows([[0, 1], [1, 0]], 2))  # off-diagonal pivots, odd
+@example(IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3))  # a 3-cycle, even
+@example(IntMatrix.diagonal([2, 3, 5, 7]))  # rows wait for their rescale
+@example(IntMatrix.from_rows([[2**70, 1], [1, 2**70]], 2))
+@example(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3))  # singular
+@given(det_inputs())
+def test_determinant_matches_dense_reference(m):
+    """Sparse, lazily rescaled Bareiss with fewest-nonzeros pivoting
+    agrees with the dense elimination it replaced."""
+    assert det_bareiss(m) == det_bareiss_reference(m)
 
 
 @PROPERTY

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from critgroups.divisors import critical_group
+from critgroups.families import chained_copies, circulant, concentric_polygon
 from critgroups.intmatrix import IntMatrix, det_bareiss
 from critgroups.multigraph import (
     DisconnectedGraphError,
@@ -130,6 +132,36 @@ def test_tree_count_matches_enumeration_on_small_graphs():
         g = random_connected(rng)
         if len(g.edges) <= 10:
             assert spanning_tree_count(g) == brute_force_spanning_trees(g)
+
+
+def random_dense_multigraph(seed, n, extra):
+    """A random recursive tree plus ``extra`` random edges, repeats kept
+    as parallel edges (the shape of the benchmark's random instance)."""
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+    return Multigraph.from_edges(n, edges)
+
+
+CYCLE4_CHAIN = (Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [2, 3, 0, 1], 0, 2)
+
+# The compute benchmark's families at small sizes, and its top rung.
+TREE_COUNT_GRAPHS = {
+    **{f"concentric_polygon({n})": (lambda n=n: concentric_polygon(n)[0]) for n in (3, 4, 7, 12)},
+    **{f"chained_copies(cycle4,{n})": (lambda n=n: chained_copies(*CYCLE4_CHAIN, n)[0]) for n in (3, 5, 11)},
+    **{f"circulant({n},[1,2])": (lambda n=n: circulant(n, [1, 2])[0]) for n in (5, 8, 17)},
+    **{f"circulant({n},[1,3])": (lambda n=n: circulant(n, [1, 3])[0]) for n in (7, 10, 20)},
+    **{f"random_multigraph(seed={s})": (lambda s=s: random_dense_multigraph(s, 12, 96)) for s in (1, 2)},
+    "concentric_polygon(64)": lambda: concentric_polygon(64)[0],
+}
+
+
+@pytest.mark.parametrize("name", TREE_COUNT_GRAPHS)
+def test_tree_count_is_the_critical_group_order(name):
+    """The matrix-tree count (Bareiss) and the group order (Smith form)
+    are two exact routes to the same number."""
+    g = TREE_COUNT_GRAPHS[name]()
+    assert spanning_tree_count(g) == critical_group(g).group.order
 
 
 def test_canonical_edge_order_and_equality():
