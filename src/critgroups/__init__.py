@@ -17,11 +17,9 @@ from .actions import (
 from .decomposition import (
     DecompositionContext,
     DecompositionReport,
-    divisors_mod_pullback_sums,
     laplacian_mod_symmetric_firings,
     pair_sum_conditions,
     pullback_conditions,
-    pullback_subgroup,
     run_all_checks,
     split_pair_sum,
     split_triple_sum,

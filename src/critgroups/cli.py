@@ -23,6 +23,7 @@ from .actions import (
 from .decomposition import DecompositionContext, run_all_checks
 from .divisors import critical_group
 from .families import (
+    CHAIN_BASES,
     chained_copies,
     circulant,
     concentric_polygon,
@@ -30,7 +31,7 @@ from .families import (
     klein_example,
 )
 from .jsonio import GraphFormatError, graph_to_json, load_graph
-from .multigraph import DisconnectedGraphError, Multigraph, spanning_tree_count
+from .multigraph import DisconnectedGraphError, spanning_tree_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,23 +39,6 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_LABELING = 4
 EXIT_NONHARMONIC = 5
-
-_CHAIN_BASES = {
-    "edge": (Multigraph.from_edges(2, [(0, 1)], labels=["a", "b"]), [1, 0], 0, 1),
-    "path": (
-        Multigraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "m", "b"]),
-        [2, 1, 0],
-        0,
-        2,
-    ),
-    "cycle4": (
-        Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels=["a", "p", "b", "q"]),
-        [2, 3, 0, 1],
-        0,
-        2,
-    ),
-}
-
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
     if fmt == "json":
@@ -172,7 +156,7 @@ def cmd_family(args) -> int:
         elif args.name == "chain":
             if args.n is None:
                 raise ValueError("chain needs --n")
-            base, phi, a, b = _CHAIN_BASES[args.base]
+            base, phi, a, b = CHAIN_BASES[args.base]
             g, action = chained_copies(base, phi, a, b, args.n)
         else:
             raise ValueError(f"unknown family {args.name!r}")
@@ -224,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--n", type=int)
     p_family.add_argument("--steps", help="comma-separated circulant steps")
     p_family.add_argument(
-        "--base", choices=tuple(_CHAIN_BASES), default="edge", help="chain base graph"
+        "--base", choices=tuple(CHAIN_BASES), default="edge", help="chain base graph"
     )
     p_family.set_defaults(func=cmd_family)
     return parser

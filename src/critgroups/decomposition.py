@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .abelian import (
     Cokernel,
@@ -43,6 +44,7 @@ from .actions import (
     classify_dihedral_orbits,
 )
 from .divisors import (
+    CriticalGroupData,
     Divisor,
     critical_group,
     is_principal,
@@ -144,8 +146,13 @@ class DecompositionContext:
 
     @cached_property
     def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
-        """``pullback_subgroup``: the image of all three pullbacks."""
-        return pullback_subgroup(self)
+        """Subgroup of the critical group generated by all three pullback
+        images, with the generating divisors as witnesses."""
+        gens = self.all_pullback_generators()
+        if not self.pullback_generators(3):
+            # One-vertex rotation quotient: the pair generators are all of them.
+            return self.pair_image, gens
+        return subgroup_generated(self.cg, [d.values for d in gens]), gens
 
     @cached_property
     def pullback_quotient(self) -> FinAbGroup:
@@ -156,7 +163,8 @@ class DecompositionContext:
     @cached_property
     def pullback_kernel(self) -> FinAbGroup:
         """Kernel of the natural map from the three quotient groups."""
-        return kernel_of_hom(_pullback_hom(self, (1, 2, 3)))
+        groups = zip(self.cg_h, (self.q1, self.q2, self.q3))
+        return kernel_of_hom(_pullback_hom(self, groups)[0])
 
     @cached_property
     def divisor_quotient(self) -> Cokernel:
@@ -221,15 +229,36 @@ def pullback_conditions(ctx: DecompositionContext, d: Sequence[int], i: int) -> 
     return True
 
 
-def _flipped_sums(ctx: DecompositionContext, vals: list[int]) -> tuple[int, int]:
-    """(sum of row totals, sum of seed values) over flipped orbits."""
+def _weighted_base(ctx: DecompositionContext, vals: list[int]) -> tuple[int, int]:
+    """The index-weighted total less half the flipped-orbit row totals,
+    and the sum of the flipped orbits' seed values."""
     total = 0
     seeds = 0
     for orb in ctx.labeling.pinned:
         if orb.flipped:
             total += sum(vals[v] for v in orb.row)
             seeds += vals[orb.row[0]]
-    return total, seeds
+    return weighted_total(ctx.labeling, vals) - total // 2, seeds
+
+
+def _pinned_rows_even(ctx: DecompositionContext, vals: list[int]) -> bool:
+    for orb in ctx.labeling.pinned:
+        if sum(vals[v] for v in orb.row) % 2 != 0:
+            return False
+    return True
+
+
+def _pair_offset(ctx: DecompositionContext, vals: list[int]) -> int | None:
+    """The additive constant of the first summand of the split through
+    the two involutions, or None when ``pair_sum_conditions`` fails."""
+    for orb in ctx.labeling.free:
+        if sum(vals[v] for v in orb.xrow) != sum(vals[v] for v in orb.yrow):
+            return None
+    if not _pinned_rows_even(ctx, vals):
+        return None
+    base, fl_seeds = _weighted_base(ctx, vals)
+    offset, rem = divmod(base, ctx.n)
+    return None if rem else offset + fl_seeds
 
 
 def pair_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
@@ -239,24 +268,12 @@ def pair_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     every pinned row has even sum, and the index-weighted total agrees
     mod n with half the flipped-orbit totals.
     """
-    vals = ctx._check_divisor(d)
-    n = ctx.n
-    lab = ctx.labeling
-    for orb in lab.free:
-        if sum(vals[v] for v in orb.xrow) != sum(vals[v] for v in orb.yrow):
-            return False
-    for orb in lab.pinned:
-        if sum(vals[v] for v in orb.row) % 2 != 0:
-            return False
-    fl_total, _ = _flipped_sums(ctx, vals)
-    return (weighted_total(lab, vals) - fl_total // 2) % n == 0
+    return _pair_offset(ctx, ctx._check_divisor(d)) is not None
 
 
-def _triple_feasible(
-    ctx: DecompositionContext, base: int, strand_excess: int
-) -> tuple[int, int] | None:
-    """Parities (on flipped and default pinned orbits) of a rotation
-    correction making the pair conditions solvable, or None."""
+def _triple_feasible(ctx: DecompositionContext, base: int, strand_excess: int) -> int | None:
+    """Parity on the flipped pinned orbits of a rotation correction
+    making the pair conditions solvable, or None."""
     n = ctx.n
     s_fl = ctx.flipped
     s_df = ctx.s - s_fl
@@ -265,34 +282,58 @@ def _triple_feasible(
             if (base + (n // 2) * rho_fl) % n == 0 and (
                 rho_fl + rho_df - strand_excess
             ) % 2 == 0:
-                return rho_fl, rho_df
+                return rho_fl
     return None
+
+
+def _rotation_constants(
+    ctx: DecompositionContext, vals: list[int]
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Constant values, per free orbit's x strand, per free orbit's y
+    strand and per pinned row, of a rotation pullback whose removal
+    leaves a sum of the two involution pullbacks; None when vals is not
+    a sum of pullbacks from all three quotients."""
+    n = ctx.n
+    lab = ctx.labeling
+    p = []
+    for orb in lab.free:
+        strand, rem = divmod(sum(vals[v] for v in orb.xrow) - sum(vals[v] for v in orb.yrow), n)
+        if rem:
+            return None
+        p.append(strand)
+    excess = sum(p)
+    if n % 2 == 1:
+        if weighted_total(lab, vals) % n != 0:
+            return None
+    else:
+        if not _pinned_rows_even(ctx, vals):
+            return None
+        rho_fl = _triple_feasible(ctx, _weighted_base(ctx, vals)[0], excess)
+        if rho_fl is None:
+            return None
+    q = [0] * lab.t
+    r = [0] * lab.s
+    flipped = [j for j, orb in enumerate(lab.pinned) if orb.flipped]
+    default = [j for j, orb in enumerate(lab.pinned) if not orb.flipped]
+    if lab.s == 0:
+        # compensate on the second strand of the first free orbit
+        q[0] = -excess // 2
+        p[0] += q[0]
+    elif n % 2 == 1:
+        for j in range(1, lab.s):
+            r[j] = sum(vals[v] for v in lab.pinned[j].row) % 2
+        r[0] = -excess - sum(r)
+    elif flipped and default:
+        r[flipped[0]] = rho_fl
+        r[default[0]] = -excess - rho_fl
+    else:
+        r[0] = -excess  # one kind of pinned orbit: row 0 is its first
+    return p, q, r
 
 
 def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     """Is d a sum of pullbacks from all three quotients?"""
-    vals = ctx._check_divisor(d)
-    n = ctx.n
-    lab = ctx.labeling
-    for orb in lab.free:
-        sx = sum(vals[v] for v in orb.xrow)
-        sy = sum(vals[v] for v in orb.yrow)
-        if (sx - sy) % n != 0:
-            return False
-    if n % 2 == 1:
-        return weighted_total(lab, vals) % n == 0
-    for orb in lab.pinned:
-        if sum(vals[v] for v in orb.row) % 2 != 0:
-            return False
-    strand_excess = sum(
-        (sum(vals[v] for v in orb.xrow) - sum(vals[v] for v in orb.yrow)) // n
-        for orb in lab.free
-    )
-    fl_total, _ = _flipped_sums(ctx, vals)
-    base = weighted_total(lab, vals) - fl_total // 2
-    if ctx.s == 0:
-        return base % n == 0 and strand_excess % 2 == 0
-    return _triple_feasible(ctx, base, strand_excess) is not None
+    return _rotation_constants(ctx, ctx._check_divisor(d)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -326,39 +367,27 @@ def split_pair_sum(
     is fixed by forcing the first summand to have degree zero.  Raises
     ValueError when the membership conditions fail.
     """
-    if not pair_sum_conditions(ctx, d):
-        raise ValueError("divisor is not a sum of two involution pullbacks")
     vals = ctx._check_divisor(d)
+    offset = _pair_offset(ctx, vals)
+    if offset is None:
+        raise ValueError("divisor is not a sum of two involution pullbacks")
     n = ctx.n
     lab = ctx.labeling
-    fl_total, fl_seeds = _flipped_sums(ctx, vals)
-    balance = 2 * weighted_total(lab, vals) - fl_total + 2 * n * fl_seeds
-    if balance % (2 * n) != 0:
-        raise AssertionError("degree balance not divisible; conditions lied")
-    const_free = [0] * lab.t
-    const_pin = [0] * lab.s
-    if lab.t >= 1:
-        const_free[0] = balance // (2 * n)
-    else:
-        const_pin[0] = balance // n  # even because balance = 0 mod 2n
 
     def first_part(kind, j, orb):
         if kind == "free":
-            a = const_free[j]
+            a = offset if j == 0 else 0
             dx = [vals[v] for v in orb.xrow]
             dy = [vals[v] for v in orb.yrow]
-            px = _prefixes(dx)
-            xout = [
-                px[i] - _suffix(dy, n - i, n) + a  # suffix indices n+1-i..n-1 (0-based)
-                for i in range(n)
-            ]
+            px = list(accumulate(dx))
+            xout = [px[i] - sum(dy[n - i :]) + a for i in range(n)]
             yout = [xout[_ref1(i, n)] for i in range(n)]
             return xout, yout
-        b = const_pin[j]
+        b = 2 * offset if j == 0 and lab.t == 0 else 0
         dz = [vals[v] for v in orb.row]
-        pz = _prefixes(dz)
+        pz = list(accumulate(dz))
         if not orb.flipped:
-            return [pz[i] - _suffix(dz, n - i, n) + b for i in range(n)]
+            return [pz[i] - sum(dz[n - i :]) + b for i in range(n)]
         total = sum(dz)
         out = [b]
         for i0 in range(1, n):
@@ -371,32 +400,18 @@ def split_pair_sum(
     d2 = Divisor(ctx.graph, tuple(second))
     if ctx.labeling.generators_swapped:
         d1, d2 = d2, d1
-    _check_split(ctx, (d1, d2), vals, (1, 2))
+    _check_split(ctx, (d1, d2), vals)
     return d1, d2
 
 
-def _prefixes(row: list[int]) -> list[int]:
-    out = []
-    run = 0
-    for x in row:
-        run += x
-        out.append(run)
-    return out
-
-
-def _suffix(row: list[int], start: int, n: int) -> int:
-    """Sum of row[start..n-1]; empty when start >= n."""
-    return sum(row[start:n])
-
-
-def _check_split(ctx, parts, vals, indices):
+def _check_split(ctx, parts, vals):
     total = [0] * len(vals)
     for part in parts:
         for k, x in enumerate(part.values):
             total[k] += x
     if total != vals:
         raise AssertionError("split does not sum back to the divisor")
-    for part, i in zip(parts, indices):
+    for i, part in enumerate(parts, 1):
         if part.degree != 0:
             raise AssertionError("split component has nonzero degree")
         if not pullback_conditions(ctx, part.values, i):
@@ -411,48 +426,12 @@ def split_triple_sum(
     A rotation-invariant correction with constant strand and row values
     reduces the problem to the two-involution split.
     """
-    if not triple_sum_conditions(ctx, d):
-        raise ValueError("divisor is not a sum of the three pullbacks")
     vals = ctx._check_divisor(d)
+    consts = _rotation_constants(ctx, vals)
+    if consts is None:
+        raise ValueError("divisor is not a sum of the three pullbacks")
+    p, q, r = consts
     n = ctx.n
-    lab = ctx.labeling
-    strand = [
-        (sum(vals[v] for v in orb.xrow) - sum(vals[v] for v in orb.yrow)) // n
-        for orb in lab.free
-    ]
-    excess = sum(strand)
-    p = list(strand)
-    q = [0] * lab.t
-    r = [0] * lab.s
-
-    flipped_idx = [j for j, orb in enumerate(lab.pinned) if orb.flipped]
-    default_idx = [j for j, orb in enumerate(lab.pinned) if not orb.flipped]
-
-    if lab.s == 0:
-        # compensate on the second strand of the first free orbit
-        q[0] = -excess // 2
-        p[0] += q[0]
-    elif n % 2 == 1:
-        gamma = 0
-        for j in range(1, lab.s):
-            parity = sum(vals[v] for v in lab.pinned[j].row) % 2
-            r[j] = parity
-            gamma += parity
-        r[0] = -excess - gamma
-    else:
-        fl_total, _ = _flipped_sums(ctx, vals)
-        base = weighted_total(lab, vals) - fl_total // 2
-        feas = _triple_feasible(ctx, base, excess)
-        if feas is None:
-            raise AssertionError("feasibility vanished between check and split")
-        rho_fl, rho_df = feas
-        if flipped_idx and default_idx:
-            r[flipped_idx[0]] = rho_fl
-            r[default_idx[0]] = -excess - rho_fl
-        elif not flipped_idx:
-            r[default_idx[0]] = -excess
-        else:
-            r[flipped_idx[0]] = -excess
 
     def rotation_part(kind, j, orb):
         if kind == "free":
@@ -464,8 +443,7 @@ def split_triple_sum(
     d3 = Divisor(ctx.graph, tuple(third))
     if d3.degree != 0 or not pullback_conditions(ctx, d3.values, 3):
         raise AssertionError("rotation correction is not a rotation pullback")
-    d1, d2 = split_pair_sum(ctx, rest)
-    _check_split(ctx, (d1, d2, d3), vals, (1, 2, 3))
+    d1, d2 = split_pair_sum(ctx, rest)  # checks d1, d2 and that they sum to rest
     return d1, d2, d3
 
 
@@ -500,28 +478,6 @@ def _extra_two_torsion(ctx: DecompositionContext) -> tuple[int, ...] | None:
     s_fl = ctx.flipped
     s_df = ctx.s - s_fl
     return (2,) * (max(s_df - 1, 0) + max(s_fl - 1, 0))
-
-
-def predicted_divisor_quotient(ctx: DecompositionContext) -> FinAbGroup | None:
-    """Expected shape of degree-zero divisors modulo pullback sums."""
-    extra = _extra_two_torsion(ctx)
-    return None if extra is None else FinAbGroup((ctx.n,) * (ctx.t + 1) + extra)
-
-
-def predicted_kernel(ctx: DecompositionContext) -> FinAbGroup | None:
-    extra = _extra_two_torsion(ctx)
-    ghat = ctx.cg_hat.group
-    return None if extra is None else direct_sum(ghat, ghat, FinAbGroup(extra))
-
-
-def predicted_quotient(ctx: DecompositionContext) -> FinAbGroup | None:
-    extra = _extra_two_torsion(ctx)
-    return None if extra is None else FinAbGroup((ctx.n,) + extra)
-
-
-def divisors_mod_pullback_sums(ctx: DecompositionContext) -> FinAbGroup:
-    """Degree-zero divisors modulo the pullback-sum lattice."""
-    return ctx.divisor_quotient.group
 
 
 def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
@@ -559,29 +515,19 @@ def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
     return cokernel(IntMatrix.from_cols(gens, nv)).group
 
 
-def pullback_subgroup(ctx: DecompositionContext) -> tuple[FinAbGroup, list[Divisor]]:
-    """Subgroup of the critical group generated by all three pullback
-    images, with the generating divisors as witnesses."""
-    gens = ctx.all_pullback_generators()
-    if not ctx.pullback_generators(3):
-        # One-vertex rotation quotient: the pair generators are all of them.
-        return ctx.pair_image, gens
-    return subgroup_generated(ctx.cg, [d.values for d in gens]), gens
-
-
-def _pullback_hom(ctx: DecompositionContext, indices: Sequence[int]) -> GroupHom:
-    """Natural map from the direct sum of quotient critical groups into
-    the critical group, on invariant-factor generators."""
+def _pullback_hom(
+    ctx: DecompositionContext, groups: Iterable[tuple[CriticalGroupData, QuotientResult]]
+) -> tuple[GroupHom, list[list[int]]]:
+    """Natural map from the direct sum of the given quotients' critical
+    groups into the critical group, on invariant-factor generators,
+    with the pulled-back generator divisors."""
     moduli: list[int] = []
-    cols: list[list[int]] = []
-    for i in indices:
-        cgq = ctx.cg_h[i - 1]
-        q = ctx.quotient(i)
+    pulled: list[list[int]] = []
+    for cgq, q in groups:
         moduli.extend(cgq.moduli)
-        for gen in cgq.generator_divisors():
-            cols.append(list(ctx.cg.project(pullback(q, list(gen.values)))))
-    matrix = IntMatrix.from_cols(cols, len(ctx.cg.moduli))
-    return GroupHom(tuple(moduli), tuple(ctx.cg.moduli), matrix)
+        pulled += [pullback(q, list(gen.values)) for gen in cgq.generator_divisors()]
+    matrix = IntMatrix.from_cols([ctx.cg.project(vals) for vals in pulled], len(ctx.cg.moduli))
+    return GroupHom(tuple(moduli), tuple(ctx.cg.moduli), matrix), pulled
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +586,9 @@ def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
     order identity |H1| * |H2| = |full quotient| * |image sum| holds.
     """
     notes: list[str] = []
-    gen_divs = ctx.cg_hat.generator_divisors()
-    pulled = [pullback(ctx.qhat, list(g.values)) for g in gen_divs]
+    hom, pulled = _pullback_hom(ctx, [(ctx.cg_hat, ctx.qhat)])
     compatible = all(
         is_pullback(ctx.q1, vals) and is_pullback(ctx.q2, vals) for vals in pulled
-    )
-    hom = GroupHom(
-        tuple(ctx.cg_hat.moduli),
-        tuple(ctx.cg.moduli),
-        IntMatrix.from_cols([ctx.cg.project(vals) for vals in pulled], len(ctx.cg.moduli)),
     )
     injective = kernel_of_hom(hom).is_trivial()
     j12 = ctx.pair_image
@@ -681,7 +621,9 @@ def check_kernel_structure(ctx: DecompositionContext) -> CheckResult:
     quotient critical groups into the critical group."""
     notes: list[str] = []
     computed = ctx.pullback_kernel
-    predicted = predicted_kernel(ctx)
+    extra = _extra_two_torsion(ctx)
+    ghat = ctx.cg_hat.group
+    predicted = None if extra is None else direct_sum(ghat, ghat, FinAbGroup(extra))
     j, _ = ctx.pullback_image
     prod_h = 1
     for cgq in ctx.cg_h:
@@ -711,7 +653,8 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     agree = is_isomorphic(direct, via_dp)
     if not agree:
         notes.append(f"paths disagree: {direct.factors} vs {via_dp.factors}")
-    predicted = predicted_quotient(ctx)
+    extra = _extra_two_torsion(ctx)
+    predicted = None if extra is None else FinAbGroup((ctx.n,) + extra)
     return CheckResult(
         name="quotient_structure",
         passed=_verdict(ctx, agree, direct, predicted, notes),
@@ -725,13 +668,14 @@ def check_divisor_class_quotient(ctx: DecompositionContext) -> CheckResult:
     """Degree-zero divisors modulo pullback sums, against its predicted
     shape, together with the firing-lattice quotient."""
     notes: list[str] = []
-    dp = divisors_mod_pullback_sums(ctx)
+    dp = ctx.divisor_quotient.group
     lq = laplacian_mod_symmetric_firings(ctx)
     lq_expected = FinAbGroup((ctx.n,) * ctx.t)
     lq_ok = is_isomorphic(lq, lq_expected)
     if not lq_ok:
         notes.append(f"firing quotient {lq.factors} != {lq_expected.factors}")
-    predicted = predicted_divisor_quotient(ctx)
+    extra = _extra_two_torsion(ctx)
+    predicted = None if extra is None else FinAbGroup((ctx.n,) * (ctx.t + 1) + extra)
     return CheckResult(
         name="divisor_class_quotient",
         passed=_verdict(ctx, lq_ok, dp, predicted, notes),

@@ -16,6 +16,16 @@ from .actions import DihedralAction, check_automorphism, require_harmonic
 from .multigraph import DisconnectedGraphError, Multigraph
 
 
+def _harmonic_action(
+    g: Multigraph, sigma1: list[int], sigma2: list[int]
+) -> tuple[Multigraph, DihedralAction]:
+    """The graph with the dihedral action of the two involutions, checked
+    to be harmonic."""
+    action = DihedralAction.build(g, sigma1, sigma2)
+    require_harmonic(g, action.elements)
+    return g, action
+
+
 def circulant(n: int, steps: list[int]) -> tuple[Multigraph, DihedralAction]:
     """Circulant graph on n vertices with the reflection pair fixing the
     vertex indexing: the first involution sends v_j to v_{n+1-j}, the
@@ -44,9 +54,7 @@ def circulant(n: int, steps: list[int]) -> tuple[Multigraph, DihedralAction]:
     g = Multigraph.from_edges(n, edges, labels=[f"v{i + 1}" for i in range(n)])
     sigma1 = [(n - 1 - i) % n for i in range(n)]
     sigma2 = [(n - i) % n for i in range(n)]
-    action = DihedralAction.build(g, sigma1, sigma2)
-    require_harmonic(g, action.elements)
-    return g, action
+    return _harmonic_action(g, sigma1, sigma2)
 
 
 def chained_copies(
@@ -95,9 +103,25 @@ def chained_copies(
         for v in kept:
             sigma1[vid(v, i)] = vid(perm[v], -i)
             sigma2[vid(v, i)] = vid(perm[v], 1 - i)
-    action = DihedralAction.build(g, sigma1, sigma2)
-    require_harmonic(g, action.elements)
-    return g, action
+    return _harmonic_action(g, sigma1, sigma2)
+
+
+# Named base graphs for chained_copies, as (base, phi, a, b).
+CHAIN_BASES = {
+    "edge": (Multigraph.from_edges(2, [(0, 1)], labels=["a", "b"]), [1, 0], 0, 1),
+    "path": (
+        Multigraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "m", "b"]),
+        [2, 1, 0],
+        0,
+        2,
+    ),
+    "cycle4": (
+        Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels=["a", "p", "b", "q"]),
+        [2, 3, 0, 1],
+        0,
+        2,
+    ),
+}
 
 
 def concentric_polygon(n: int) -> tuple[Multigraph, DihedralAction]:
@@ -144,9 +168,7 @@ def concentric_polygon(n: int) -> tuple[Multigraph, DihedralAction]:
         sigma2[z(i)] = z(n + 1 - i)  # j -> n+3-j
         sigma2[x(i)] = y(n + 1 - i)
         sigma2[y(i)] = x(n + 1 - i)
-    action = DihedralAction.build(g, sigma1, sigma2)
-    require_harmonic(g, action.elements)
-    return g, action
+    return _harmonic_action(g, sigma1, sigma2)
 
 
 def klein_example() -> tuple[Multigraph, DihedralAction]:
@@ -157,9 +179,7 @@ def klein_example() -> tuple[Multigraph, DihedralAction]:
         [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)],
         labels=["x1", "x2", "a1", "a2", "b1", "b2"],
     )
-    action = DihedralAction.build(g, [1, 0, 2, 3, 4, 5], [0, 1, 4, 5, 2, 3])
-    require_harmonic(g, action.elements)
-    return g, action
+    return _harmonic_action(g, [1, 0, 2, 3, 4, 5], [0, 1, 4, 5, 2, 3])
 
 
 # Edge labels of the five-vertex counterexample, with the two given edge
@@ -209,9 +229,7 @@ def intro_counterexample() -> tuple[Multigraph, DihedralAction]:
     )
     sigma1 = _vertex_perm_from_edge_map(_INTRO_SIGMA1_EDGES)
     sigma2 = _vertex_perm_from_edge_map(_INTRO_SIGMA2_EDGES)
-    action = DihedralAction.build(g, sigma1, sigma2)
-    require_harmonic(g, action.elements)
-    return g, action
+    return _harmonic_action(g, sigma1, sigma2)
 
 
 def h_graph(k: int) -> Multigraph:

@@ -18,12 +18,17 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        data = [int(x) for x in entries]
+        data = tuple(entries)
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
+        # One pass over the types: floats, strings, bools and None are
+        # rejected, never converted.
+        if not set(map(type, data)) <= {int}:
+            bad = next(x for x in data if type(x) is not int)
+            raise TypeError(f"matrix entry {bad!r} is not an int")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(data)
+        self._data = data
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":

@@ -99,6 +99,8 @@ def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
     return graph_from_json(doc)
 
 

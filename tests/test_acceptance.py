@@ -50,7 +50,6 @@ from critgroups.decomposition import (
     DecompositionContext,
     pair_sum_conditions,
     pair_sum_matrix,
-    pullback_subgroup,
     random_degree_zero,
     run_all_checks,
     split_pair_sum,
@@ -373,7 +372,7 @@ def test_criterion_3_concentric_computable_parts():
     ok = ctx.cg.group.order == 24000
     hs = [cgq.group.factors for cgq in ctx.cg_h]
     ok &= hs == [(40,), (30,), (5,)]
-    j, gens = pullback_subgroup(ctx)
+    j, gens = ctx.pullback_image
     quot = quotient_by_subgroup(ctx.cg, [d.values for d in gens])
     ok &= ctx.cg.group.order == j.order * quot.order
     ok &= quot.factors == (4,)

@@ -136,6 +136,16 @@ def test_malformed_graph_exit_2(capsys, tmp_path, command, case):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_non_utf8_graph_file_exit_2(capsys, tmp_path, command):
+    """Bytes that are not UTF-8 are a parse error, not a decode traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_disconnected_exit_3(capsys, tmp_path):
     path = tmp_path / "disc.json"
     path.write_text(

@@ -20,12 +20,10 @@ from critgroups.decomposition import (
     check_pair_exact_sequence,
     check_quotient_structure,
     check_tree_case,
-    divisors_mod_pullback_sums,
     laplacian_mod_symmetric_firings,
     pair_sum_conditions,
     pair_sum_matrix,
     pullback_conditions,
-    pullback_subgroup,
     random_degree_zero,
     run_all_checks,
     split_pair_sum,
@@ -36,6 +34,7 @@ from critgroups.decomposition import (
 )
 from critgroups.divisors import critical_group, quotient_by_subgroup
 from critgroups.families import (
+    CHAIN_BASES,
     chained_copies,
     circulant,
     concentric_polygon,
@@ -49,25 +48,21 @@ from critgroups.quotients import is_pullback, pullback, quotient_graph
 
 
 def chain(base_name, n):
-    bases = {
-        "edge": (Multigraph.from_edges(2, [(0, 1)], labels=["a", "b"]), [1, 0], 0, 1),
-        "path": (
-            Multigraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "m", "b"]),
-            [2, 1, 0],
-            0,
-            2,
-        ),
-        "cycle4": (
-            Multigraph.from_edges(
-                4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels=["a", "p", "b", "q"]
-            ),
-            [2, 3, 0, 1],
-            0,
-            2,
-        ),
-    }
-    base, phi, a, b = bases[base_name]
+    base, phi, a, b = CHAIN_BASES[base_name]
     return chained_copies(base, phi, a, b, n)
+
+
+def edge_reflected_cycle(n):
+    """The 2n-cycle with the edge-midpoint reflections i -> -1-i and
+    i -> 1-i: D_n acts freely, so there is one free orbit and no pinned
+    orbit (s = 0, t = 1)."""
+    m = 2 * n
+    g = Multigraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+    sigma1 = [(-1 - i) % m for i in range(m)]
+    sigma2 = [(1 - i) % m for i in range(m)]
+    act = actions.DihedralAction.build(g, sigma1, sigma2)
+    actions.require_harmonic(g, act.elements)
+    return g, act
 
 
 def ctx_for(maker):
@@ -180,6 +175,7 @@ ORACLE_INSTANCES = [
     ("concentric4", G4),
     ("chain_path3", ctx_for(chain("path", 3))),
     ("chain_path4", ctx_for(chain("path", 4))),
+    *((f"edge_reflected_cycle{2 * n}", ctx_for(edge_reflected_cycle(n))) for n in range(2, 7)),
 ]
 
 
@@ -224,23 +220,23 @@ def test_membership_invariant_under_seed_rotation():
 
 
 def test_divisor_class_quotients():
-    assert divisors_mod_pullback_sums(C7).factors == (7,)
+    assert C7.divisor_quotient.group.factors == (7,)
     assert laplacian_mod_symmetric_firings(C7).is_trivial()
-    assert divisors_mod_pullback_sums(KLEIN).factors == (2, 2)
+    assert KLEIN.divisor_quotient.group.factors == (2, 2)
     assert laplacian_mod_symmetric_firings(KLEIN).is_trivial()
-    assert divisors_mod_pullback_sums(G4).factors == (4, 4)
+    assert G4.divisor_quotient.group.factors == (4, 4)
     assert laplacian_mod_symmetric_firings(G4).factors == (4,)
 
 
 def test_pullback_subgroup_orders():
-    j, gens = pullback_subgroup(G4)
+    j, gens = G4.pullback_image
     assert j.order == 6000
     assert all(d.degree == 0 for d in gens)
-    j7, _ = pullback_subgroup(C7)
+    j7, _ = C7.pullback_image
     assert j7.order == 169
     # all quotients trees: trivial subgroup
     ctx = ctx_for(chain("edge", 5))
-    jt, _ = pullback_subgroup(ctx)
+    jt, _ = ctx.pullback_image
     assert jt.order == ctx.cg_h[2].group.order  # rotation quotient only
 
 
@@ -391,10 +387,9 @@ def test_image_order_of_natural_map():
     from test_abelian import image_order
     from critgroups.decomposition import _pullback_hom
 
-    hom = _pullback_hom(G4, (1, 2, 3))
-    assert image_order(hom) == 6000
-    hom7 = _pullback_hom(C7, (1, 2, 3))
-    assert image_order(hom7) == 169
+    for ctx, order in ((G4, 6000), (C7, 169)):
+        hom, _ = _pullback_hom(ctx, zip(ctx.cg_h, (ctx.q1, ctx.q2, ctx.q3)))
+        assert image_order(hom) == order
 
 
 def firing_quotient_by_laplacian_solves(ctx):
@@ -432,6 +427,10 @@ FIRING_INSTANCES = {
     "circulant(21,[1,2,3])": lambda: circulant(21, [1, 2, 3]),
     "circulant(10,[1,3])": lambda: circulant(10, [1, 3]),
     "klein_example": klein_example,
+    **{
+        f"edge_reflected_cycle({2 * n})": (lambda n=n: edge_reflected_cycle(n))
+        for n in range(2, 7)
+    },
 }
 
 

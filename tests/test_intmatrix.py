@@ -411,6 +411,21 @@ def test_matrices_keep_their_shape_when_empty():
         IntMatrix.from_cols([[1, 2]], 3)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[1.9, 0, 0, "3"], [1, 0, 0, 2.0], [True, 0, 0, 1], [1, 0, 0, None], [1, 0, 0, "3"]],
+    ids=["float_and_string", "integral_float", "bool", "none", "string"],
+)
+def test_entries_must_be_ints(entries):
+    """An entry that is not an int is rejected, never converted: the
+    matrix of [1.9, 0, 0, '3'] would otherwise be [[1, 0], [0, 3]], with
+    determinant 3."""
+    with pytest.raises(TypeError, match="is not an int"):
+        IntMatrix(2, 2, entries)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([entries[:2], entries[2:]], 2)
+
+
 def test_from_rows_keeps_its_shape_when_empty():
     assert IntMatrix.from_rows([], 3) == IntMatrix(0, 3, [])
     assert IntMatrix.from_rows([[], []], 0) == IntMatrix(2, 0, [])

@@ -13,12 +13,13 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (74 runs):
+The run set (80 runs):
   * ``--format json compute`` on the 19 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
     of ``perfbench``, on ``klein``, ``circulant(7,[1,2])`` and ``intro``
-    (exit 4), and on the two looped graphs: ``--format json verify
+    (exit 4), on the two looped graphs, and on the 8- and 10-cycle with
+    edge-midpoint reflections (no pinned orbit): ``--format json verify
     --trials 25 --seed 7``, ``--format json verify --trials 150 --seed 7
     --oracle`` and text ``verify --trials 0 --oracle``;
   * ``--format json compute`` and text ``compute`` on the empty and the
@@ -70,6 +71,8 @@ VERIFIED = (
     "intro",
     "looped_triangle",
     "looped_cycle4",
+    "edge_reflected_cycle8",
+    "edge_reflected_cycle10",
 )
 
 
@@ -78,6 +81,21 @@ def _looped(labels: list[str], cycle: list[tuple[str, str]], sigma1: dict, sigma
         "vertices": labels,
         "edges": [list(e) for e in cycle] + [[v, v] for v in labels],
         "actions": {"sigma1": sigma1, "sigma2": sigma2},
+    }
+
+
+def _edge_reflected_cycle(n: int) -> dict:
+    """The 2n-cycle c0..c(2n-1) with the reflections i -> -1-i and
+    i -> 1-i, which fix no vertex: one free orbit, no pinned orbit."""
+    m = 2 * n
+    labels = [f"c{i}" for i in range(m)]
+    return {
+        "vertices": labels,
+        "edges": [[labels[i], labels[(i + 1) % m]] for i in range(m)],
+        "actions": {
+            "sigma1": {labels[i]: labels[(-1 - i) % m] for i in range(m)},
+            "sigma2": {labels[i]: labels[(1 - i) % m] for i in range(m)},
+        },
     }
 
 
@@ -97,6 +115,8 @@ WRITTEN = {
         {"v1": "v1", "v2": "v4", "v3": "v3", "v4": "v2"},
         {"v1": "v2", "v2": "v1", "v3": "v4", "v4": "v3"},
     ),
+    "edge_reflected_cycle8": _edge_reflected_cycle(4),
+    "edge_reflected_cycle10": _edge_reflected_cycle(5),
 }
 
 
