@@ -1,7 +1,7 @@
 """Exact critical groups of finite multigraphs and the decomposition of
 graphs with harmonic dihedral symmetry into quotient critical groups."""
 
-from .abelian import FinAbGroup, GroupHom, cokernel, direct_sum, is_isomorphic, kernel_of_hom
+from .abelian import Cokernel, FinAbGroup, GroupHom, direct_sum, is_isomorphic, kernel_of_hom
 from .actions import (
     DihedralAction,
     LabelingImpossibleError,
@@ -39,7 +39,6 @@ from .intmatrix import (
     IntMatrix,
     hermite_normal_form,
     integer_kernel,
-    lattice_contains,
     smith_normal_form,
 )
 from .multigraph import (

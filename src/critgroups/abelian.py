@@ -2,17 +2,17 @@
 
 A group is stored canonically as a chain d1 | d2 | ... | dk with every
 di >= 2; the empty chain is the trivial group.  Construction accepts any
-list of cyclic moduli and refolds it into the canonical chain.
+list of int moduli (no other type) and refolds it into the canonical chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
-from .intmatrix import IntMatrix, Lattice, smith_normal_form
+from .intmatrix import IntMatrix, Lattice, int_tuple, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -35,8 +35,7 @@ def canonical_chain(moduli: Sequence[int]) -> tuple[int, ...]:
     result satisfies d1 | d2 | ... with no factor equal to 1.
     """
     powers: dict[int, list[int]] = {}
-    for m in moduli:
-        m = int(m)
+    for m in int_tuple(moduli, "cyclic modulus"):
         if m < 0:
             m = -m
         if m in (0,):
@@ -109,11 +108,6 @@ def direct_sum(*groups: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(tuple(moduli))
 
 
-def cokernel(relations: IntMatrix) -> "Cokernel":
-    """Structure and coordinate map of Z^rows / column-span(relations)."""
-    return Cokernel(relations)
-
-
 class Cokernel:
     """Z^n modulo the integer column span of a relation matrix, in its
     own invariant-factor coordinates.
@@ -158,16 +152,21 @@ class Cokernel:
         """Ambient vectors whose classes are the standard generators."""
         return [list(lift) for lift in self._lifts]
 
-    def quotient_by(self, vectors: Sequence[Sequence[int]]) -> FinAbGroup:
+    def quotient_by(self, vectors: Sequence[Sequence[int]]) -> "Cokernel":
         """This group modulo the subgroup generated by the classes of
         ambient vectors: the cokernel of [diag(d) | projected vectors]."""
         coords = [self.project(v) for v in vectors]
         relations = IntMatrix.diagonal(list(self.moduli))
-        return cokernel(relations.hstack(IntMatrix.from_cols(coords, len(self.moduli)))).group
+        return Cokernel(relations.hstack(IntMatrix.from_cols(coords, len(self.moduli))))
+
+    def kernel_onto(self, quotient: "Cokernel") -> FinAbGroup:
+        """H = ker(G -> G/H) for G/H = ``quotient`` from ``quotient_by``: e_i
+        maps to column i of the quotient's projection rows, well defined
+        as diag(d) is among the quotient's relations."""
+        matrix = IntMatrix.from_rows(quotient._rows, len(self.moduli))
+        return kernel_of_hom(GroupHom(self.moduli, quotient.moduli, matrix))
 
     def element_order(self, coords: Sequence[int]) -> int:
-        from math import gcd, lcm
-
         if len(coords) != len(self.moduli):
             raise ValueError("coordinate length mismatch")
         orders = [d // gcd(d, c) for c, d in zip(coords, self.moduli)]
@@ -190,7 +189,7 @@ def lattice_quotient(outer: IntMatrix, inner: IntMatrix) -> FinAbGroup:
         if x is None:
             raise ValueError("inner lattice not contained in outer lattice")
         coords.append(x)
-    return cokernel(IntMatrix.from_cols(coords, lattice.rank)).group
+    return Cokernel(IntMatrix.from_cols(coords, lattice.rank)).group
 
 
 @dataclass(frozen=True)
@@ -230,4 +229,4 @@ def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     """
     a, b = h.source_moduli, h.target_moduli
     dual = [[h.matrix[i, j] * a[j] // b[i] for j in range(len(a))] for i in range(len(b))]
-    return cokernel(IntMatrix.diagonal(list(a)).hstack(IntMatrix.from_cols(dual, len(a)))).group
+    return Cokernel(IntMatrix.diagonal(list(a)).hstack(IntMatrix.from_cols(dual, len(a)))).group

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .intmatrix import int_tuple
 from .multigraph import Multigraph
 
 
@@ -60,7 +61,7 @@ def _powers(p: Perm) -> list[Perm]:
 
 def check_automorphism(g: Multigraph, p: Sequence[int]) -> Perm:
     """Validate that p is a graph-compatible vertex permutation."""
-    perm = tuple(int(x) for x in p)
+    perm = int_tuple(p, "permutation entry")
     if sorted(perm) != list(range(g.vertex_count)):
         raise NotAutomorphismError("not a permutation of the vertices")
     before = Counter(tuple(sorted(e)) for e in g.edges)

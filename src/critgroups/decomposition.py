@@ -30,7 +30,6 @@ from .abelian import (
     Cokernel,
     FinAbGroup,
     GroupHom,
-    cokernel,
     direct_sum,
     is_isomorphic,
     kernel_of_hom,
@@ -141,21 +140,20 @@ class DecompositionContext:
     @cached_property
     def pair_image(self) -> FinAbGroup:
         """Subgroup generated by the two involution pullback images."""
+        if not self.pullback_generators(3):
+            # One-vertex rotation quotient: the pair generators are all of them.
+            return self.pullback_image[0]
         gens = self.pair_pullback_generators()
         return subgroup_generated(self.cg, [d.values for d in gens])
 
     @cached_property
     def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
-        """Subgroup of the critical group generated by all three pullback
-        images, with the generating divisors as witnesses."""
-        gens = self.all_pullback_generators()
-        if not self.pullback_generators(3):
-            # One-vertex rotation quotient: the pair generators are all of them.
-            return self.pair_image, gens
-        return subgroup_generated(self.cg, [d.values for d in gens]), gens
+        """Subgroup generated by all three pullback images, the kernel of
+        the projection onto ``pullback_quotient``, with its generators."""
+        return self.cg._coker.kernel_onto(self.pullback_quotient), self.all_pullback_generators()
 
     @cached_property
-    def pullback_quotient(self) -> FinAbGroup:
+    def pullback_quotient(self) -> Cokernel:
         """The critical group modulo the image of all three pullbacks."""
         gens = self.all_pullback_generators()
         return quotient_by_subgroup(self.cg, [d.values for d in gens])
@@ -169,7 +167,7 @@ class DecompositionContext:
     @cached_property
     def divisor_quotient(self) -> Cokernel:
         """Degree-zero divisors (root dropped) modulo pullback sums."""
-        return cokernel(triple_sum_matrix(self))
+        return Cokernel(triple_sum_matrix(self))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
         gens += [script(*xs), script(*ys)]
         gens.extend(script(xs[0], y) for y in ys)
         gens.extend(script(x, ys[0]) for x in xs[1:])
-    return cokernel(IntMatrix.from_cols(gens, nv)).group
+    return Cokernel(IntMatrix.from_cols(gens, nv)).group
 
 
 def _pullback_hom(
@@ -647,9 +645,9 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     two ways: directly from augmented relations, and through the
     divisor-class quotient divided by the image of the firing lattice."""
     notes: list[str] = []
-    direct = ctx.pullback_quotient
+    direct = ctx.pullback_quotient.group
     firing = ctx.cg.reduced
-    via_dp = ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
+    via_dp = ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)]).group
     agree = is_isomorphic(direct, via_dp)
     if not agree:
         notes.append(f"paths disagree: {direct.factors} vs {via_dp.factors}")
@@ -701,7 +699,7 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
     hs = [cgq.group.order for cgq in ctx.cg_h]
     ghat = ctx.cg_hat.group.order
     j, gens = ctx.pullback_image
-    q = ctx.pullback_quotient
+    q = ctx.pullback_quotient.group
     composed_ok = big == j.order * q.order
     if not composed_ok:
         notes.append(f"|K| != |image|*|quotient|: {big} != {j.order}*{q.order}")
@@ -750,7 +748,7 @@ def check_tree_case(ctx: DecompositionContext) -> CheckResult:
     if not ctx.qhat.quotient.is_tree():
         raise ValueError("full quotient is not a tree")
     ker = ctx.pullback_kernel
-    quot = ctx.pullback_quotient
+    quot = ctx.pullback_quotient.group
     passed = ker.is_trivial() and is_isomorphic(quot, FinAbGroup.cyclic(ctx.n))
     return CheckResult(
         name="tree_case",

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import FinAbGroup, cokernel, lattice_quotient
-from .intmatrix import IntMatrix
+from .abelian import Cokernel, FinAbGroup
+from .intmatrix import IntMatrix, int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
 
 
@@ -27,9 +27,9 @@ class Divisor:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", int_tuple(self.values, "chip count"))
         if len(self.values) != self.graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
-        object.__setattr__(self, "values", tuple(int(x) for x in self.values))
 
     @property
     def degree(self) -> int:
@@ -71,9 +71,9 @@ class FiringScript:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", int_tuple(self.counts, "firing count"))
         if len(self.counts) != self.graph.vertex_count:
             raise ValueError("script length differs from vertex count")
-        object.__setattr__(self, "counts", tuple(int(x) for x in self.counts))
 
 
 def apply_firing(d: Divisor, s: FiringScript) -> Divisor:
@@ -101,7 +101,7 @@ class CriticalGroupData:
         # The empty graph has no root; its group is trivial.
         n = graph.vertex_count
         self.reduced = reduced_laplacian(graph, self.root) if n else IntMatrix(0, 0, [])
-        self._coker = cokernel(self.reduced)
+        self._coker = Cokernel(self.reduced)
         self.group = self._coker.group
 
     @property
@@ -148,18 +148,12 @@ def is_principal(cg: CriticalGroupData, d: Sequence[int]) -> bool:
 
 
 def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Structure of the subgroup generated by the classes of gens.
-
-    Computed on lattices: the subgroup is the span of the projected
-    generators together with the relation lattice, modulo the relations.
-    """
-    relations = IntMatrix.diagonal(list(cg.moduli))
-    cols = [cg.project(d) for d in gens] + [relations.col(j) for j in range(relations.cols)]
-    outer = IntMatrix.from_cols(cols, len(cg.moduli))
-    return lattice_quotient(outer, relations)
+    """Structure of the subgroup generated by the classes of gens: the
+    kernel of the projection onto the quotient by them."""
+    return cg._coker.kernel_onto(quotient_by_subgroup(cg, gens))
 
 
-def quotient_by_subgroup(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Critical group modulo the subgroup generated by gens, taken over
-    the group's own invariant-factor coordinates."""
+def quotient_by_subgroup(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> Cokernel:
+    """Critical group modulo the subgroup generated by gens, as a
+    cokernel over the group's own invariant-factor coordinates."""
     return cg._coker.quotient_by([cg._dropped(d) for d in gens])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .actions import DihedralAction, check_automorphism, require_harmonic
+from .intmatrix import int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph
 
 
@@ -39,8 +40,7 @@ def circulant(n: int, steps: list[int]) -> tuple[Multigraph, DihedralAction]:
     if n < 3:
         raise ValueError("circulant needs n >= 3")
     canon = []
-    for a in steps:
-        a = int(a)
+    for a in int_tuple(steps, "circulant step"):
         if not 1 <= a < n:
             raise ValueError(f"step {a} out of range 1..{n - 1}")
         if a not in canon:

@@ -12,20 +12,25 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 
+def int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple, checked in one pass over their types:
+    floats, strings, bools and None raise TypeError, never converted."""
+    data = tuple(values)
+    if not set(map(type, data)) <= {int}:
+        bad = next(x for x in data if type(x) is not int)
+        raise TypeError(f"{what} {bad!r} is not an int")
+    return data
+
+
 class IntMatrix:
     """Dense integer matrix, row-major."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        data = tuple(entries)
+        data = int_tuple(entries, "matrix entry")
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
-        # One pass over the types: floats, strings, bools and None are
-        # rejected, never converted.
-        if not set(map(type, data)) <= {int}:
-            bad = next(x for x in data if type(x) is not int)
-            raise TypeError(f"matrix entry {bad!r} is not an int")
         self.rows = rows
         self.cols = cols
         self._data = data
@@ -398,8 +403,8 @@ def hermite_normal_form(m: IntMatrix) -> HnfResult:
 class Lattice:
     """Integer column span of a matrix, Hermite-reduced once.
 
-    ``solve`` and ``contains`` only back-substitute against the stored
-    Hermite form, so any number of queries cost one HNF.
+    ``hermite_coords`` and ``contains`` only back-substitute against the
+    stored Hermite form, so any number of queries cost one HNF.
     """
 
     def __init__(self, m: IntMatrix):
@@ -434,25 +439,17 @@ class Lattice:
             return None
         return y
 
-    def solve(self, vec: Sequence[int]) -> list[int] | None:
-        """An integer x with matrix @ x == vec, or None."""
-        y = self.hermite_coords(vec)
-        if y is None:
-            return None
-        return self.hnf.T.apply(y + [0] * (self.matrix.cols - len(y)))
-
     def contains(self, vec: Sequence[int]) -> bool:
         return self.hermite_coords(vec) is not None
 
 
 def solve_in_column_span(m: IntMatrix, vec: Sequence[int]) -> list[int] | None:
     """An integer x with m @ x == vec, or None if no integral solution."""
-    return Lattice(m).solve(vec)
-
-
-def lattice_contains(m: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is vec an integer combination of the columns of m?"""
-    return Lattice(m).contains(vec)
+    lattice = Lattice(m)
+    y = lattice.hermite_coords(vec)
+    if y is None:
+        return None
+    return lattice.hnf.T.apply(y + [0] * (m.cols - len(y)))
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgroups.abelian import (
+    Cokernel,
     FinAbGroup,
     GroupHom,
     canonical_chain,
-    cokernel,
     direct_sum,
     is_isomorphic,
     kernel_of_hom,
@@ -88,10 +88,10 @@ def test_direct_sum_properties():
 
 
 def test_cokernel_examples_and_coordinates():
-    ck = cokernel(IntMatrix.diagonal([2, 2]))
+    ck = Cokernel(IntMatrix.diagonal([2, 2]))
     assert ck.group.factors == (2, 2)
     m = IntMatrix.from_rows([[2, 4], [6, 8]], 2)
-    ck = cokernel(m)
+    ck = Cokernel(m)
     assert ck.group.factors == (2, 4)
     # projection kills the relations and is additive
     for j in range(2):
@@ -111,12 +111,12 @@ def test_cokernel_examples_and_coordinates():
 
 def test_cokernel_of_unimodular_is_trivial():
     m = IntMatrix.from_rows([[1, 1], [0, 1]], 2)
-    assert cokernel(m).group.is_trivial()
+    assert Cokernel(m).group.is_trivial()
 
 
 def test_cokernel_rejects_infinite_quotient():
     with pytest.raises(ValueError):
-        cokernel(IntMatrix.from_rows([[1, 1], [1, 1]], 2))
+        Cokernel(IntMatrix.from_rows([[1, 1], [1, 1]], 2))
 
 
 def test_lattice_quotient_examples():
@@ -210,3 +210,15 @@ def test_recanonicalization_is_identity():
     for _ in range(50):
         g = FinAbGroup(tuple(rng.randint(2, 40) for _ in range(rng.randint(0, 4))))
         assert FinAbGroup(g.factors).factors == g.factors
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2.7, "6"), (2, 6.0), (True, 4)], ids=["float_and_string", "float", "bool"]
+)
+def test_cyclic_moduli_must_be_ints(moduli):
+    """A modulus that is not an int is rejected, never converted: (2.7, '6')
+    would otherwise be Z/2 + Z/6."""
+    with pytest.raises(TypeError, match="is not an int"):
+        canonical_chain(moduli)
+    with pytest.raises(TypeError):
+        FinAbGroup(moduli)

@@ -219,3 +219,17 @@ def test_concentric_orbit_stabilizers():
         for v in orb:
             stab = stabilizer(group, v)
             assert len(stab) == (2 if len(orb) == 4 else 1)
+
+
+def test_permutation_entries_must_be_ints():
+    """A permutation entry that is not an int is rejected, never
+    converted: float and string copies of a valid pair of reflections
+    would otherwise build D_7."""
+    g, act = circulant(7, [1, 2])
+    floats = [float(x) for x in act.sigma1]
+    strings = [str(x) for x in act.sigma2]
+    for sigma1, sigma2 in ((floats, act.sigma2), (act.sigma1, strings)):
+        with pytest.raises(TypeError, match="is not an int"):
+            DihedralAction.build(g, sigma1, sigma2)
+    with pytest.raises(TypeError):
+        check_automorphism(g, [True] + list(act.sigma1[1:]))

@@ -11,7 +11,7 @@ import pytest
 
 import critgroups
 from critgroups import actions, divisors, intmatrix
-from critgroups.abelian import FinAbGroup, cokernel, is_isomorphic
+from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quotient
 from critgroups.cli import main
 from critgroups.decomposition import (
     DecompositionContext,
@@ -41,7 +41,7 @@ from critgroups.families import (
     intro_counterexample,
     klein_example,
 )
-from critgroups.intmatrix import IntMatrix, Lattice, lattice_contains
+from critgroups.intmatrix import IntMatrix, Lattice
 from critgroups.jsonio import graph_to_json
 from critgroups.multigraph import Multigraph, laplacian
 from critgroups.quotients import is_pullback, pullback, quotient_graph
@@ -193,8 +193,8 @@ def test_membership_agrees_with_lattice_oracle(name, ctx):
         dropped = ctx.cg._dropped(d.values)
         in_pair = pair_sum_conditions(ctx, d.values)
         in_triple = triple_sum_conditions(ctx, d.values)
-        assert in_pair == lattice_contains(pair_m, dropped)
-        assert in_triple == lattice_contains(triple_m, dropped)
+        assert in_pair == Lattice(pair_m).contains(dropped)
+        assert in_triple == Lattice(triple_m).contains(dropped)
         if in_pair:
             hits += 1
             split_pair_sum(ctx, d.values)  # asserts memberships and the sum
@@ -396,8 +396,10 @@ def firing_quotient_by_laplacian_solves(ctx):
     """Reference route for ``laplacian_mod_symmetric_firings``: express
     the Laplacian image of every symmetric firing (each pinned vertex,
     all n^2 strand pairs, each whole strand), root dropped, over the
-    columns of the reduced Laplacian, and take the cokernel of those
-    coordinates.  It uses no kernel argument about the Laplacian."""
+    Hermite basis of the firing lattice (the column span of the reduced
+    Laplacian), and take the cokernel of those coordinates.  Any basis
+    of the lattice gives the same group.  It uses no kernel argument
+    about the Laplacian."""
     lap = laplacian(ctx.graph)
     root = ctx.cg.root
     nv = ctx.graph.vertex_count
@@ -415,9 +417,9 @@ def firing_quotient_by_laplacian_solves(ctx):
         ycols = [lap.col(v) for v in orb.yrow]
         gens += [fired([cx, cy]) for cx in xcols for cy in ycols]
         gens += [fired(xcols), fired(ycols)]
-    coords = [firing.solve(gvec) for gvec in gens]
+    coords = [firing.hermite_coords(gvec) for gvec in gens]
     assert None not in coords, "symmetric firing is not in the firing lattice"
-    return cokernel(IntMatrix.from_cols(coords, ctx.cg.reduced.rows)).group
+    return Cokernel(IntMatrix.from_cols(coords, ctx.cg.reduced.rows)).group
 
 
 FIRING_INSTANCES = {
@@ -448,7 +450,7 @@ def quotient_by_subgroup_by_full_relations(cg, gens):
     over all of Z^(V-1).  It never projects into the invariant-factor
     coordinates."""
     cols = [cg._dropped(d) for d in gens]
-    return cokernel(cg.reduced.hstack(IntMatrix.from_cols(cols, cg.reduced.rows))).group
+    return Cokernel(cg.reduced.hstack(IntMatrix.from_cols(cols, cg.reduced.rows))).group
 
 
 @pytest.mark.parametrize("name", sorted(FIRING_INSTANCES))
@@ -456,10 +458,35 @@ def test_quotient_by_subgroup_matches_full_relations(name):
     ctx = ctx_for(FIRING_INSTANCES[name]())
     all_gens = [d.values for d in ctx.all_pullback_generators()]
     pair_gens = [d.values for d in ctx.pair_pullback_generators()]
-    assert ctx.pullback_quotient == quotient_by_subgroup_by_full_relations(ctx.cg, all_gens)
-    assert quotient_by_subgroup(ctx.cg, pair_gens) == quotient_by_subgroup_by_full_relations(
-        ctx.cg, pair_gens
-    )
+    assert ctx.pullback_quotient.group == quotient_by_subgroup_by_full_relations(ctx.cg, all_gens)
+    pair_quotient = quotient_by_subgroup(ctx.cg, pair_gens).group
+    assert pair_quotient == quotient_by_subgroup_by_full_relations(ctx.cg, pair_gens)
+
+
+def subgroup_by_hermite_form(cg, gens):
+    """Reference route for a generated subgroup: the lattice spanned by
+    the projected generators and the relations diag(d), modulo diag(d),
+    through one Hermite form.  It factors no quotient by a Smith form."""
+    relations = IntMatrix.diagonal(list(cg.moduli))
+    cols = [cg.project(d) for d in gens] + [relations.col(j) for j in range(relations.cols)]
+    return lattice_quotient(IntMatrix.from_cols(cols, len(cg.moduli)), relations)
+
+
+IMAGE_INSTANCES = {
+    **{name: (lambda maker=maker: ctx_for(maker())) for name, maker in FIRING_INSTANCES.items()},
+    **{name: (lambda ctx=ctx: ctx) for name, ctx in ORACLE_INSTANCES},
+    # k = 52 invariant factors, the subgroups of 51 pair factors.
+    "chained_copies(cycle4,51)": lambda: ctx_for(chain("cycle4", 51)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_INSTANCES))
+def test_pullback_images_match_hermite_route(name):
+    ctx = IMAGE_INSTANCES[name]()
+    pair_gens = [d.values for d in ctx.pair_pullback_generators()]
+    all_gens = [d.values for d in ctx.all_pullback_generators()]
+    assert ctx.pair_image == subgroup_by_hermite_form(ctx.cg, pair_gens)
+    assert ctx.pullback_image[0] == subgroup_by_hermite_form(ctx.cg, all_gens)
 
 
 def _patch_everywhere(mp, module, name, wrap):
@@ -526,19 +553,37 @@ def _record_replays(mp, result=intmatrix.SnfResult):
     return seen
 
 
-def _projected_smith_forms(ctx):
+def _record_results(mp, module, name):
+    """Wrap module.name at every binding site in the package and return
+    the list of its results."""
+    seen = []
+
+    def wrap(raw):
+        def recording(*args, **kwargs):
+            seen.append(raw(*args, **kwargs))
+            return seen[-1]
+
+        return recording
+
+    _patch_everywhere(mp, module, name, wrap)
+    return seen
+
+
+def _projected_smith_forms(ctx, subgroup_quotients):
     """The Smith forms of the cokernels a verify projects into or lifts
-    from: the graph's group, the four quotient groups, and the
-    divisor-class quotient."""
+    from: the graph's group, the four quotient groups, the
+    divisor-class quotient, and the quotients by generated subgroups
+    (whose projections define the subgroups as kernels)."""
     groups = (ctx.cg, *ctx.cg_h, ctx.cg_hat)
-    return [cg._coker._snf for cg in groups] + [ctx.divisor_quotient._snf]
+    cokernels = [ctx.divisor_quotient, *subgroup_quotients]
+    return [cg._coker._snf for cg in groups] + [c._snf for c in cokernels]
 
 
 VERIFY_GATE_INSTANCES = [
-    (lambda: concentric_polygon(8), False, 2, 5),
-    (lambda: chain("cycle4", 9), False, 2, 6),
+    (lambda: concentric_polygon(8), False, 0, 7),
+    (lambda: chain("cycle4", 9), False, 0, 8),
     # One-vertex rotation quotient: pair and triple generators coincide.
-    (lambda: circulant(21, [1, 2, 3]), True, 3, 4),
+    (lambda: circulant(21, [1, 2, 3]), True, 2, 5),
 ]
 VERIFY_GATE_IDS = [
     "concentric_polygon(8)",
@@ -552,10 +597,12 @@ VERIFY_GATE_IDS = [
 )
 def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, replays):
     """A deterministic gate on repeated exact work: during a verify each
-    HNF input is distinct, each generated subgroup is computed once, the
-    number of HNFs is fixed and does not grow with the sweep length, the
-    pullback quotient is computed once, over the group's own
-    invariant-factor coordinates, every quotient graph's group is
+    HNF input is distinct, the number of HNFs is fixed (none without the
+    oracle sweep) and does not grow with the sweep length, the quotient
+    by each generated subgroup (pair and full pullback images) is
+    computed once per distinct generator list, each as one Smith form
+    over the group's own k invariant-factor coordinates, which also
+    gives the subgroup as a kernel, every quotient graph's group is
     closed from at most two generators, never from a list of its
     elements, and only the cokernels that are projected into or lifted
     from build a transform, a fixed number of them (a trivial group
@@ -569,17 +616,20 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
             ctx = DecompositionContext(g, act)
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
-            quotients = _record_calls(mp, divisors, "quotient_by_subgroup")
+            quotients = _record_calls(mp, divisors, "quotient_by_subgroup", arg=1)
             quotient_snfs = _record_inner_calls(mp, divisors, "quotient_by_subgroup", snf_inputs)
-            subgroups = _record_calls(mp, divisors, "subgroup_generated", arg=1)
+            quotient_cokernels = _record_results(mp, divisors, "quotient_by_subgroup")
             assert run_all_checks(ctx, trials=trials, seed=1, oracle=oracle).passed
-        assert hnf_inputs and len(set(hnf_inputs)) == len(hnf_inputs)
-        gen_lists = [tuple(tuple(d) for d in gens) for gens in subgroups]
-        assert subgroups and len(set(gen_lists)) == len(gen_lists)
-        assert len(quotients) == 1
-        assert [m.rows for m in quotient_snfs[0]] == [len(ctx.cg.moduli)]
+        assert len(set(hnf_inputs)) == len(hnf_inputs)
+        gen_lists = [tuple(tuple(d) for d in gens) for gens in quotients]
+        pair = tuple(d.values for d in ctx.pair_pullback_generators())
+        full = tuple(d.values for d in ctx.all_pullback_generators())
+        images = {pair, full}  # one list when the rotation quotient has one vertex
+        assert sorted(gen_lists) == sorted(images)
+        k_rows = [[len(ctx.cg.moduli)]] * len(images)
+        assert [[m.rows for m in snfs] for snfs in quotient_snfs] == k_rows
         assert closures and max(len(gens) for gens in closures) <= 2
-        projected = {id(snf) for snf in _projected_smith_forms(ctx)}
+        projected = {id(snf) for snf in _projected_smith_forms(ctx, quotient_cokernels)}
         assert {id(snf) for snf in replayed} <= projected
         assert len(replayed) == replays
         hnf_counts[trials] = len(hnf_inputs)
@@ -589,9 +639,11 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)
 def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_path, maker):
     """``compute`` reads only invariant factors, and the throwaway
-    cokernels of ``quotient_by``, ``lattice_quotient``, ``kernel_of_hom``
-    and ``laplacian_mod_symmetric_firings`` are read only for their
-    group: none of them replays a Smith form's row-op log."""
+    cokernels of ``kernel_of_hom``, ``laplacian_mod_symmetric_firings``
+    and the divisor-class quotient's ``quotient_by`` are read only for
+    their group: none of them replays a Smith form's row-op log.  The
+    quotients by generated subgroups are projected into, to give each
+    subgroup as a kernel, so only they may replay theirs."""
     g, act = maker()
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_to_json(g, act)))
@@ -606,22 +658,24 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     for cgq in (*ctx.cg_h, ctx.cg_hat):
         cgq.generator_divisors()
     shared = len(replayed)
+    quotients = _record_results(monkeypatch, divisors, "quotient_by_subgroup")
     laplacian_mod_symmetric_firings(ctx)
-    ctx.pair_image  # lattice_quotient
+    ctx.pair_image  # kernel_of_hom of the projection onto the pair quotient
+    ctx.pullback_image  # and onto pullback_quotient
     ctx.pullback_kernel  # kernel_of_hom
-    ctx.pullback_quotient  # Cokernel.quotient_by
     firing = ctx.cg.reduced
     ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
-    assert len(replayed) == shared
+    subgroup_quotients = {id(quotient._snf) for quotient in quotients}
+    assert quotients and {id(snf) for snf in replayed[shared:]} <= subgroup_quotients
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)
 def test_verify_builds_no_hermite_transform(monkeypatch, maker, oracle):
-    """The Hermite forms of a verify (``lattice_quotient`` and the oracle
-    sweep's lattices) are read only through H: none replays its log."""
+    """A plain verify computes no Hermite form, and the oracle sweep's
+    lattices are read only through H: none replays its log."""
     g, act = maker()
     replayed = _record_replays(monkeypatch, intmatrix.HnfResult)
     hnf_inputs = _record_calls(monkeypatch, intmatrix, "hermite_normal_form")
     assert run_all_checks(DecompositionContext(g, act), trials=10, seed=1, oracle=oracle).passed
-    assert hnf_inputs and replayed == []
+    assert bool(hnf_inputs) == oracle and replayed == []

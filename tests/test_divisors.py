@@ -117,8 +117,8 @@ def test_subgroup_and_quotient_examples():
     assert subgroup_generated(cg, []).is_trivial()
     gens = [[1, -1, 0], [0, 1, -1]]
     assert subgroup_generated(cg, gens).order == 3
-    assert quotient_by_subgroup(cg, gens).is_trivial()
-    assert quotient_by_subgroup(cg, []).factors == (3,)
+    assert quotient_by_subgroup(cg, gens).group.is_trivial()
+    assert quotient_by_subgroup(cg, []).group.factors == (3,)
 
 
 def test_subgroup_quotient_product_law():
@@ -128,7 +128,7 @@ def test_subgroup_quotient_product_law():
         cg = critical_group(g)
         gens = [list(random_zero_divisor(g, rng)) for _ in range(rng.randint(0, 3))]
         sub = subgroup_generated(cg, gens)
-        quot = quotient_by_subgroup(cg, gens)
+        quot = quotient_by_subgroup(cg, gens).group
         assert sub.order * quot.order == cg.group.order
 
 
@@ -139,3 +139,19 @@ def test_divisor_validation():
         apply_firing(Divisor(P2, (1, -1)), FiringScript(C3, (0, 0, 0)))
     d = Divisor(C3, (1, 0, -1))
     assert d.to_json() == {"0": 1, "2": -1}
+
+
+def test_divisor_chips_must_be_ints():
+    """A chip count that is not an int is rejected, never converted:
+    (1.9, -1.2, '0') would otherwise be the divisor (1, -1, 0)."""
+    for values in ((1.9, -1.2, "0"), (1, -1, 0.0), (1, -1, None)):
+        with pytest.raises(TypeError, match="is not an int"):
+            Divisor(C3, values)
+
+
+def test_firing_counts_must_be_ints():
+    """A firing count that is not an int is rejected, never converted:
+    True would otherwise fire vertex 0 once."""
+    for counts in ((True, 0, 0), (1.0, 0, 0), ("1", 0, 0)):
+        with pytest.raises(TypeError, match="is not an int"):
+            FiringScript(C3, counts)

@@ -200,3 +200,11 @@ def test_chained_copies_validation():
         chained_copies(base, [2, 1, 0], 0, 1, 3)  # phi(a) != b
     with pytest.raises(ValueError):
         chained_copies(base, [2, 1, 0], 0, 0, 3)  # endpoints equal
+
+
+@pytest.mark.parametrize("steps", [[1.9, 2.0], [1, "2"], [True, 2]], ids=["float", "string", "bool"])
+def test_circulant_steps_must_be_ints(steps):
+    """A step that is not an int is rejected, never converted: [1.9, 2.0]
+    would otherwise build the circulant with steps 1 and 2."""
+    with pytest.raises(TypeError, match="is not an int"):
+        circulant(7, steps)

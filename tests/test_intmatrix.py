@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from critgroups.abelian import Cokernel, cokernel
+from critgroups.abelian import Cokernel
 from critgroups.families import (
     chained_copies,
     circulant,
@@ -24,7 +24,6 @@ from critgroups.intmatrix import (
     det_bareiss,
     hermite_normal_form,
     integer_kernel,
-    lattice_contains,
     smith_normal_form,
     solve_in_column_span,
 )
@@ -331,8 +330,8 @@ def test_hermite_same_lattice_same_form():
     b = IntMatrix.from_rows([[1, 0], [0, 2]], 2)
     # equal column lattices, checked by mutual membership
     for j in range(2):
-        assert lattice_contains(a, b.col(j))
-        assert lattice_contains(b, a.col(j))
+        assert Lattice(a).contains(b.col(j))
+        assert Lattice(b).contains(a.col(j))
     assert hermite_normal_form(a).H == hermite_normal_form(b).H
     ident = IntMatrix.identity(3)
     assert hermite_normal_form(ident).H == ident
@@ -342,12 +341,12 @@ def test_hermite_same_lattice_same_form():
 
 def test_lattice_membership_trivial_cases():
     m = IntMatrix.from_rows([[2, 0], [0, 2]], 2)
-    assert lattice_contains(m, [0, 0])
-    assert lattice_contains(m, m.col(0))
-    assert lattice_contains(m, m.col(1))
-    assert not lattice_contains(m, [1, 1])
+    assert Lattice(m).contains([0, 0])
+    assert Lattice(m).contains(m.col(0))
+    assert Lattice(m).contains(m.col(1))
+    assert not Lattice(m).contains([1, 1])
     with pytest.raises(ValueError):
-        lattice_contains(m, [1, 1, 1])
+        Lattice(m).contains([1, 1, 1])
 
 
 def test_lattice_membership_vs_bounded_search():
@@ -371,7 +370,7 @@ def test_lattice_membership_complete_on_known_members():
         c = rng.randint(1, 5)
         m = IntMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
         coeffs = [rng.randint(-8, 8) for _ in range(c)]
-        assert lattice_contains(m, m.apply(coeffs))
+        assert Lattice(m).contains(m.apply(coeffs))
 
 
 def test_lattice_reuses_one_hermite_form_for_many_queries():
@@ -388,8 +387,7 @@ def test_lattice_reuses_one_hermite_form_for_many_queries():
                 v = m.apply([rng.randint(-4, 4) for _ in range(m.cols)])
             else:
                 v = [rng.randint(-5, 5) for _ in range(m.rows)]
-            x = lat.solve(v)
-            assert (x is None) == (solve_in_column_span(m, v) is None)
+            x = solve_in_column_span(m, v)
             assert lat.contains(v) == (x is not None)
             if x is None:
                 assert bounded_lattice_search(m, v, 2) is None
@@ -636,5 +634,5 @@ def test_cokernel_quotient_by_matches_augmented_relations(m, data):
     assume(len(smith_normal_form(m).invariant_factors()) == m.rows)  # finite cokernel
     vec = st.lists(st.integers(-6, 6), min_size=m.rows, max_size=m.rows)
     vecs = data.draw(st.lists(vec, max_size=3))
-    expected = cokernel(m.hstack(IntMatrix.from_cols(vecs, m.rows))).group
-    assert Cokernel(m).quotient_by(vecs) == expected
+    expected = Cokernel(m.hstack(IntMatrix.from_cols(vecs, m.rows))).group
+    assert Cokernel(m).quotient_by(vecs).group == expected

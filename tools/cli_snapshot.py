@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (80 runs):
+The run set (83 runs):
   * ``--format json compute`` on the 19 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -22,6 +22,9 @@ The run set (80 runs):
     edge-midpoint reflections (no pinned orbit): ``--format json verify
     --trials 25 --seed 7``, ``--format json verify --trials 150 --seed 7
     --oracle`` and text ``verify --trials 0 --oracle``;
+  * ``--format json verify --trials 25 --seed 7`` on the top of the
+    ladder, ``concentric_polygon(48)``, ``chained_copies(cycle4,51)``
+    and ``circulant(200,[1,3])`` (3, 52 and 5 invariant factors);
   * ``--format json compute`` and text ``compute`` on the empty and the
     one-vertex graph;
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
@@ -74,6 +77,8 @@ VERIFIED = (
     "edge_reflected_cycle8",
     "edge_reflected_cycle10",
 )
+
+VERIFIED_TOP = ("concentric_polygon(48)", "chained_copies(cycle4,51)", "circulant(200,[1,3])")
 
 
 def _looped(labels: list[str], cycle: list[tuple[str, str]], sigma1: dict, sigma2: dict) -> dict:
@@ -133,6 +138,9 @@ def run_set() -> list[tuple[str, ...]]:
         runs.append(("--format", "json", "verify", f, "--trials", "25", "--seed", "7"))
         runs.append(("--format", "json", "verify", f, "--trials", "150", "--seed", "7", "--oracle"))
         runs.append(("verify", f, "--trials", "0", "--oracle"))
+    for name in VERIFIED_TOP:
+        f = file_name(name)
+        runs.append(("--format", "json", "verify", f, "--trials", "25", "--seed", "7"))
     for name in ("empty", "one_vertex"):
         runs.append(("--format", "json", "compute", file_name(name)))
         runs.append(("compute", file_name(name)))
