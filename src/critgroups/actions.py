@@ -10,7 +10,6 @@ machinery.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +45,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(outer: Perm, inner: Perm) -> Perm:
     """outer after inner: (outer . inner)(v) == outer[inner[v]]."""
-    return tuple(outer[inner[v]] for v in range(len(inner)))
+    return tuple([outer[v] for v in inner])
 
 
 def _powers(p: Perm) -> list[Perm]:
@@ -64,9 +63,14 @@ def check_automorphism(g: Multigraph, p: Sequence[int]) -> Perm:
     perm = int_tuple(p, "permutation entry")
     if sorted(perm) != list(range(g.vertex_count)):
         raise NotAutomorphismError("not a permutation of the vertices")
-    before = Counter(tuple(sorted(e)) for e in g.edges)
-    after = Counter(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
-    if before != after:
+    # g.edges is canonical (u <= v) and sorted, so the multisets agree
+    # exactly when the canonicalized images, sorted, equal it.
+    image = []
+    for u, v in g.edges:
+        a, b = perm[u], perm[v]
+        image.append((a, b) if a <= b else (b, a))
+    image.sort()
+    if image != list(g.edges):
         raise NotAutomorphismError("permutation does not preserve the edge multiset")
     return perm
 
@@ -126,9 +130,19 @@ def is_harmonic(g: Multigraph, group: Sequence[Perm]) -> bool:
 def _harmonic_offender(
     g: Multigraph, group: Sequence[Perm]
 ) -> tuple[int, int] | None:
+    # fixers[v]: positions in group of the elements fixing v, read off v's
+    # column by tuple.count and tuple.index; a pair's stabilizer is the
+    # intersection of its endpoints' sets.
+    fixers = []
+    for v, column in enumerate(zip(*group)):
+        at, i = set(), -1
+        for _ in range(column.count(v)):
+            i = column.index(v, i + 1)
+            at.add(i)
+        fixers.append(at)
     for (u, v), mult in g.pair_multiplicities().items():
-        h = pair_stabilizer(group, u, v)
-        if len(h) > 1 and mult % len(h) != 0:
+        order = len(fixers[u] & fixers[v])
+        if order > 1 and mult % order != 0:
             return (u, v)
     return None
 

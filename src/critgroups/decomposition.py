@@ -97,15 +97,21 @@ class DecompositionContext:
     def pullback_generators(self, i: int) -> list[Divisor]:
         """Pullbacks of single-vertex differences spanning the degree-zero
         divisors of quotient i: an explicit generating set of its image."""
-        q = self.quotient(i)
-        nq = q.quotient.vertex_count
+        return self._pullback_generator_lists[i - 1]
+
+    @cached_property
+    def _pullback_generator_lists(self) -> tuple[list[Divisor], ...]:
         out = []
-        for v in range(1, nq):
-            dhat = [0] * nq
-            dhat[v] = 1
-            dhat[0] = -1
-            out.append(Divisor(self.graph, tuple(pullback(q, dhat))))
-        return out
+        for q in (self.q1, self.q2, self.q3):
+            nq = q.quotient.vertex_count
+            gens = []
+            for v in range(1, nq):
+                dhat = [0] * nq
+                dhat[v] = 1
+                dhat[0] = -1
+                gens.append(Divisor(self.graph, tuple(pullback(q, dhat))))
+            out.append(gens)
+        return tuple(out)
 
     def all_pullback_generators(self) -> list[Divisor]:
         return [d for i in (1, 2, 3) for d in self.pullback_generators(i)]

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .intmatrix import IntMatrix, det_bareiss
+from .intmatrix import IntMatrix, det_bareiss, int_tuple
 
 
 class DisconnectedGraphError(ValueError):
@@ -31,6 +32,8 @@ class Multigraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        int_tuple((self.vertex_count,), "vertex count")
+        int_tuple(chain.from_iterable(self.edges), "edge endpoint")
         if self.vertex_count < 0:
             raise ValueError("negative vertex count")
         canon = []

@@ -8,6 +8,7 @@ import pytest
 from critgroups.actions import (
     DihedralAction,
     LabelingImpossibleError,
+    NonHarmonicError,
     NotAutomorphismError,
     OrbitSizeError,
     check_automorphism,
@@ -18,9 +19,11 @@ from critgroups.actions import (
     is_harmonic,
     orbits,
     pair_stabilizer,
+    require_harmonic,
     stabilizer,
 )
 from critgroups.families import (
+    CHAIN_BASES,
     chained_copies,
     circulant,
     concentric_polygon,
@@ -52,6 +55,103 @@ def test_non_automorphism_rejected():
         check_automorphism(path, [0, 0, 1])
 
 
+def test_automorphism_must_keep_edge_multiplicities():
+    """Swapping the ends of (0,1)x2 + (1,2) keeps the set of adjacent
+    pairs but not their multiplicities; a loop must land on a loop."""
+    g = Multigraph.from_edges(3, [(0, 1), (0, 1), (1, 2)])
+    with pytest.raises(NotAutomorphismError, match="edge multiset"):
+        check_automorphism(g, [2, 1, 0])
+    assert check_automorphism(g, [0, 1, 2]) == (0, 1, 2)
+    looped_end = Multigraph.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+    with pytest.raises(NotAutomorphismError, match="edge multiset"):
+        check_automorphism(looped_end, [2, 1, 0])
+    looped_ends = Multigraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    assert check_automorphism(looped_ends, [2, 1, 0]) == (2, 1, 0)
+
+
+def _offender_by_pair_stabilizers(g, group):
+    """Reference: the first edge pair, in sorted order, whose pointwise
+    stabilizer order exceeds 1 and does not divide its multiplicity."""
+    for (u, v), mult in g.pair_multiplicities().items():
+        order = len(pair_stabilizer(group, u, v))
+        if order > 1 and mult % order != 0:
+            return (u, v)
+    return None
+
+
+def _harmonicity_cases():
+    """(name, graph, group) for every family constructor at small n and
+    for each of its subgroups the quotients use, plus hand-made actions
+    on both sides of the multiplicity rule."""
+    families = [
+        circulant(5, [1, 2]),
+        circulant(6, [1, 3]),  # step 3 doubles the edges on the reflection axis
+        circulant(8, [1, 4]),
+        concentric_polygon(3),
+        concentric_polygon(4),
+        klein_example(),
+        intro_counterexample(),
+    ]
+    families += [chained_copies(*CHAIN_BASES[b], n) for b in CHAIN_BASES for n in (3, 4)]
+    for k, (g, act) in enumerate(families):
+        yield f"family{k}", g, list(act.elements)
+        yield f"family{k}-rotations", g, act.rotation_subgroup()
+        yield f"family{k}-sigma1", g, generate_group(g, [act.sigma1])
+        yield f"family{k}-sigma2", g, generate_group(g, [act.sigma2])
+    # 3-leaf star c-x, c-y, c-z under (x y) and (y z): S_3 fixes c, and
+    # (y z) fixes the simple edge c-x pointwise.
+    star = Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], labels=["c", "x", "y", "z"])
+    yield "star", star, list(DihedralAction.build(star, [0, 2, 1, 3], [0, 1, 3, 2]).elements)
+    # (x y) fixes the pair u-v pointwise: harmonic exactly when the
+    # multiplicity of u-v is even; loops change nothing.
+    for mult in (1, 2, 3, 4):
+        for loops in ([], [(0, 0), (1, 1), (2, 2), (3, 3)]):
+            edges = [(0, 1)] * mult + [(0, 2), (0, 3)] + loops
+            g = Multigraph.from_edges(4, edges, labels=["u", "v", "x", "y"])
+            yield f"axis-pair-x{mult}-loops{len(loops)}", g, generate_group(g, [[0, 1, 3, 2]])
+    triangle = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]
+    looped = Multigraph.from_edges(3, triangle, labels=["v1", "v2", "v3"])
+    yield "looped-triangle", looped, list(DihedralAction.build(looped, [2, 1, 0], [1, 0, 2]).elements)
+
+
+def _relabel(g, group, pi):
+    """The graph and group with each vertex v renamed pi[v], labels kept."""
+    inv = [0] * len(pi)
+    for i, v in enumerate(pi):
+        inv[v] = i
+    labels = [g.label(inv[w]) for w in range(len(pi))]
+    g2 = Multigraph.from_edges(g.vertex_count, [(pi[u], pi[v]) for u, v in g.edges], labels)
+    return g2, [tuple(pi[p[inv[w]]] for w in range(len(pi))) for p in group]
+
+
+def test_require_harmonic_matches_pair_stabilizer_reference():
+    """Same verdict and same first offending edge as a per-pair scan of
+    the group, on each case and on 5 random relabelings of it."""
+    rng = random.Random(14)
+    verdicts = set()
+    for name, g, group in _harmonicity_cases():
+        for trial in range(6):
+            pi = list(range(g.vertex_count))
+            if trial:
+                rng.shuffle(pi)
+            g2, group2 = _relabel(g, group, pi)
+            expected = _offender_by_pair_stabilizers(g2, group2)
+            verdicts.add(expected is None)
+            assert is_harmonic(g2, group2) == (expected is None), name
+            if expected is None:
+                require_harmonic(g2, group2)
+                continue
+            with pytest.raises(NonHarmonicError) as err:
+                require_harmonic(g2, group2)
+            assert err.value.edge == expected, name
+            u, v = expected
+            assert str(err.value) == (
+                f"action is not harmonic: edge {g2.label(u)}-{g2.label(v)} "
+                "is fixed pointwise by a stabilizer that cannot act freely on it"
+            )
+    assert verdicts == {True, False}
+
+
 def test_harmonicity_examples():
     g, act = intro_counterexample()
     assert is_harmonic(g, act.elements)
@@ -78,14 +178,7 @@ def test_harmonicity_invariant_under_relabeling():
         for _ in range(5):
             pi = list(range(g.vertex_count))
             rng.shuffle(pi)
-            inv = [0] * len(pi)
-            for i, v in enumerate(pi):
-                inv[v] = i
-            g2 = Multigraph.from_edges(
-                g.vertex_count, [(pi[u], pi[v]) for u, v in g.edges]
-            )
-            group2 = [tuple(pi[p[inv[w]]] for w in range(len(pi))) for p in group]
-            assert is_harmonic(g2, group2) == verdict
+            assert is_harmonic(*_relabel(g, group, pi)) == verdict
 
 
 def test_orbit_stabilizer_consistency():

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import critgroups
-from critgroups import actions, divisors, intmatrix
+from critgroups import actions, decomposition, divisors, intmatrix
 from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quotient
 from critgroups.cli import main
 from critgroups.decomposition import (
@@ -634,6 +634,25 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
         assert len(replayed) == replays
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50] == hnfs
+
+
+@pytest.mark.parametrize(
+    "maker, oracle", [(m, o) for m, o, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS
+)
+def test_verify_builds_each_pullback_generator_once(monkeypatch, maker, oracle):
+    """Each quotient's pullback generators are built once per context:
+    besides the generator divisors that the natural maps into K(G) pull
+    back, a verify pulls back one single-vertex difference per non-root
+    vertex of each of the three quotients, and no more."""
+    g, act = maker()
+    ctx = DecompositionContext(g, act)
+    pulled = _record_calls(monkeypatch, decomposition, "pullback", arg=1)
+    homs = _record_results(monkeypatch, decomposition, "_pullback_hom")
+    assert run_all_checks(ctx, trials=25, seed=1, oracle=oracle).passed
+    by_homs = sum(len(divs) for _, divs in homs)
+    assert homs and by_homs > 0
+    sizes = [ctx.quotient(i).quotient.vertex_count - 1 for i in (1, 2, 3)]
+    assert len(pulled) - by_homs == sum(sizes)
 
 
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)

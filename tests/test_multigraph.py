@@ -176,3 +176,22 @@ def test_label_validation():
         Multigraph.from_edges(2, [(0, 1)], labels=["a", "a"])
     with pytest.raises(ValueError):
         Multigraph.from_edges(2, [(0, 2)])
+
+
+def test_bool_endpoints_are_rejected():
+    """True is an int subclass: the edges (0, True), (True, 2), (0, 2)
+    would otherwise build the triangle, with group Z/3."""
+    with pytest.raises(TypeError, match="edge endpoint True is not an int"):
+        Multigraph(3, ((0, True), (True, 2), (0, 2)))
+
+
+def test_float_endpoints_are_rejected():
+    """A float endpoint would pass the range check and fail only inside
+    critical_group, as a list index."""
+    with pytest.raises(TypeError, match="edge endpoint 1.0 is not an int"):
+        Multigraph(3, ((0, 1.0), (1, 2)))
+
+
+def test_float_vertex_count_is_rejected():
+    with pytest.raises(TypeError, match="vertex count 2.0 is not an int"):
+        Multigraph(2.0, ((0, 1),))

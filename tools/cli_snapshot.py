@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (83 runs):
+The run set (85 runs):
   * ``--format json compute`` on the 19 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -27,6 +27,10 @@ The run set (83 runs):
     and ``circulant(200,[1,3])`` (3, 52 and 5 invariant factors);
   * ``--format json compute`` and text ``compute`` on the empty and the
     one-vertex graph;
+  * ``--format json verify`` on two rejected actions: the 3-leaf star
+    c-x, c-y, c-z under (x y) and (y z), not harmonic (exit 5), and the
+    path a-m-b under (a m) and (a b), where (a m) is no automorphism
+    (exit 2);
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
 
 Stdlib only.
@@ -122,7 +126,25 @@ WRITTEN = {
     ),
     "edge_reflected_cycle8": _edge_reflected_cycle(4),
     "edge_reflected_cycle10": _edge_reflected_cycle(5),
+    "star_nonharmonic": {
+        "vertices": ["c", "x", "y", "z"],
+        "edges": [["c", "x"], ["c", "y"], ["c", "z"]],
+        "actions": {
+            "sigma1": {"c": "c", "x": "y", "y": "x", "z": "z"},
+            "sigma2": {"c": "c", "x": "x", "y": "z", "z": "y"},
+        },
+    },
+    "path_not_automorphism": {
+        "vertices": ["a", "m", "b"],
+        "edges": [["a", "m"], ["m", "b"]],
+        "actions": {
+            "sigma1": {"a": "m", "m": "a", "b": "b"},
+            "sigma2": {"a": "b", "m": "m", "b": "a"},
+        },
+    },
 }
+
+REJECTED = ("star_nonharmonic", "path_not_automorphism")
 
 
 def file_name(name: str) -> str:
@@ -144,6 +166,8 @@ def run_set() -> list[tuple[str, ...]]:
     for name in ("empty", "one_vertex"):
         runs.append(("--format", "json", "compute", file_name(name)))
         runs.append(("compute", file_name(name)))
+    for name in REJECTED:
+        runs.append(("--format", "json", "verify", file_name(name)))
     runs += [("--help",), ("compute", "--help"), ("verify", "--help"), ("family", "--help")]
     return runs
 
