@@ -12,7 +12,6 @@ from .actions import (
     generate_group,
     is_harmonic,
     orbits,
-    stabilizer,
 )
 from .decomposition import (
     DecompositionContext,

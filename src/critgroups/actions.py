@@ -107,15 +107,6 @@ def orbits(group: Sequence[Perm], n: int) -> list[list[int]]:
     return out
 
 
-def stabilizer(group: Sequence[Perm], v: int) -> list[Perm]:
-    return [p for p in group if p[v] == v]
-
-
-def pair_stabilizer(group: Sequence[Perm], u: int, v: int) -> list[Perm]:
-    """Elements fixing both u and v."""
-    return [p for p in group if p[u] == u and p[v] == v]
-
-
 def is_harmonic(g: Multigraph, group: Sequence[Perm]) -> bool:
     """No vertex stabilizer may fix an incident edge.
 

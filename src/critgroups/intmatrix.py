@@ -184,10 +184,12 @@ class SnfResult:
     """U * M * V == S with U unimodular, S in Smith normal form, and some
     unimodular V that is not built.
 
-    The elimination logs its row operations instead of applying them to
-    transforms.  ``U`` (read to project) and ``Uinv`` (read to lift
-    generators) replay that log on first read, so a caller that reads
-    only S never builds them.  S is the only field.
+    The elimination works on sparse rows, pivoting on units of least
+    Markowitz cost, and logs its row operations instead of applying them
+    to transforms.  S is unique; U and U⁻¹ depend on the pivot order.
+    ``U`` (read to project) and ``Uinv`` (read to lift generators)
+    replay that log on first read, so a caller that reads only S never
+    builds them.  S is the only field.
     """
 
     S: IntMatrix
@@ -236,83 +238,149 @@ def _replay_row_ops(n: int, ops: Sequence[tuple], inverse: bool = False) -> list
     return m
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form, with the row transform and its inverse built
-    on first read.
+# How many rows holding a unit, taken in index order, the Smith pivot
+# search weighs; see smith_normal_form.
+_UNIT_SEARCH_ROWS = 8
 
-    Pivoting picks the smallest nonzero magnitude in the working
-    submatrix to limit entry growth.
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Smith normal form by elimination over sparse rows, with the row
+    transform and its inverse built on first read.
+
+    Each row is a dict of its nonzero entries, and each column keeps the
+    set of rows with a nonzero in it.  A step pivots on a unit entry when
+    there is one: of the units in the first ``_UNIT_SEARCH_ROWS`` rows (in
+    index order) that hold one, the unit of least Markowitz cost (row
+    nonzeros - 1) * (column nonzeros - 1), which bounds the fill its
+    elimination can make, then lowest row, then lowest column.  With no
+    unit left it pivots on the first smallest magnitude in row-major
+    order.  Weighing the units of every row instead leaves, on the
+    reduced Laplacian of ``concentric_polygon(64)``, a last block of 33
+    rows with no unit and 113-bit entries, and logs 3.5 times the
+    operations.
+
+    Logged row operations clear the pivot column; column operations,
+    which V would record and nothing reads, clear the pivot row.  A
+    non-unit pivot is chosen afresh while its remainders leave a smaller
+    entry, and absorbs an offending row while it does not divide the
+    rest.  Rows keep their indices until the end, where logged swaps
+    move the k-th pivot row to row k.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
+    rows: dict[int, dict[int, int]] = {}  # the rows with a nonzero
+    colrows: dict[int, set[int]] = {}  # column -> rows with a nonzero in it
+    for i in range(m.rows):
+        row = {j: x for j, x in enumerate(m.row(i)) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                colrows.setdefault(j, set()).add(i)
     ops: list[tuple] = []
+    pivots: list[tuple[int, int]] = []  # (row, |pivot|) in elimination order
+
+    def put(i, row, j, x):
+        # Set entry j of row i (the dict ``row``), keeping colrows in step.
+        if x:
+            if j not in row:
+                colrows.setdefault(j, set()).add(i)
+            row[j] = x
+        elif j in row:
+            del row[j]
+            colrows[j].discard(i)
+            if not colrows[j]:
+                del colrows[j]
 
     def add_row(i, j, q):
-        # Rows t.. are zero left of column t, and stay so.
-        a[i][t:] = [x + q * y for x, y in zip(a[i][t:], a[j][t:])]
+        # row_i += q * row_j for q != 0.  Each column k met holds row j,
+        # so its row set never empties here.
+        target = rows[i]
+        for k, y in rows[j].items():
+            x = target.get(k)
+            if x is None:
+                target[k] = q * y
+                colrows[k].add(i)
+            elif x + q * y:
+                target[k] = x + q * y
+            else:
+                del target[k]
+                colrows[k].discard(i)
+        if not target:
+            del rows[i]
         ops.append(("add", i, j, q))
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # The first smallest-magnitude nonzero entry of a[t:, t:] in
-        # row-major order; nothing is smaller than 1, so stop there.
-        best = 0
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                x = abs(row[j])
-                if x and (not best or x < best):
-                    best, pi, pj = x, i, j
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if not best:
-            break
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            ops.append(("swap", t, pi, 0))
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        # Clear row and column t; restart if a remainder creates a
-        # smaller entry elsewhere.
-        p = a[t][t]
+    while rows:
+        r, c = _smith_pivot(rows, colrows)
+        pivot_row = rows[r]
+        p = pivot_row[c]
         dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // p))
-                if a[i][t] != 0:
-                    dirty = True
-        # Column ops never change column t, so the rows they touch (a
-        # nonzero entry in column t) are fixed for the whole sweep.
-        touched = [a[r] for r in range(rows) if a[r][t] != 0]
-        pivot_row = a[t]
-        for j in range(t + 1, cols):
-            if pivot_row[j] != 0:
-                q = pivot_row[j] // p
-                for row in touched:
-                    row[j] -= q * row[t]
-                if pivot_row[j] != 0:
-                    dirty = True
+        for i in sorted(colrows[c]):
+            if i != r:
+                add_row(i, r, -(rows[i][c] // p))
+                dirty = dirty or c in rows.get(i, ())
+        # Column ops never change column c, so the rows they touch (a
+        # nonzero entry in column c) are fixed for the whole sweep.
+        touched = sorted(colrows[c])
+        for j in [j for j in pivot_row if j != c]:
+            q = pivot_row[j] // p
+            for i in touched:
+                put(i, rows[i], j, rows[i].get(j, 0) - q * rows[i][c])
+            dirty = dirty or j in pivot_row
         if dirty:
             continue
-        # Enforce divisibility: the pivot must divide everything below
-        # and to the right (a unit pivot always does).
+        # Enforce divisibility: the pivot must divide every remaining
+        # entry (a unit pivot always does).
         if abs(p) != 1:
             offender = next(
-                (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+                (i for i, row in rows.items() if i != r and any(x % p for x in row.values())),
+                None,
             )
             if offender is not None:
-                add_row(t, offender, 1)
+                add_row(r, offender, 1)
                 continue
+        del rows[r], colrows[c]
         if p < 0:
-            a[t] = [-x for x in a[t]]
-            ops.append(("negate", t, t, 0))
-        t += 1
+            ops.append(("negate", r, r, 0))
+        pivots.append((r, abs(p)))
 
-    return SnfResult(IntMatrix.from_rows(a, cols), ops)
+    # Move the k-th pivot row to row k, tracking where each row sits.
+    at = list(range(m.rows))  # at[k]: the row now at position k
+    where = list(range(m.rows))  # where[i]: the position of row i
+    entries = [0] * (m.rows * m.cols)
+    for k, (r, d) in enumerate(pivots):
+        pos, other = where[r], at[k]
+        if pos != k:
+            ops.append(("swap", k, pos, 0))
+            at[k], at[pos], where[r], where[other] = r, other, k, pos
+        entries[k * m.cols + k] = d
+    return SnfResult(IntMatrix(m.rows, m.cols, entries), ops)
+
+
+def _smith_pivot(rows: dict[int, dict[int, int]], colrows: dict[int, set[int]]) -> tuple[int, int]:
+    """(row, column) of the next Smith pivot.
+
+    The candidates are the units of the first ``_UNIT_SEARCH_ROWS`` rows,
+    in index order, that hold one; the pivot is the candidate of least
+    (Markowitz cost, row, column).  With no unit left, it is the first
+    smallest magnitude in row-major order.
+    """
+    best = None
+    left = _UNIT_SEARCH_ROWS
+    for i, row in rows.items():  # index order: rows are never re-added
+        if 1 not in row.values() and -1 not in row.values():
+            continue
+        cost = len(row) - 1
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                found = (cost * (len(colrows[j]) - 1), i, j)
+                if best is None or found < best:
+                    best = found
+        left -= 1
+        if not left:
+            break
+    if best is not None:
+        return best[1], best[2]
+    least = min(min(map(abs, row.values())) for row in rows.values())
+    i = next(i for i, row in rows.items() if least in map(abs, row.values()))
+    return i, min(j for j, x in rows[i].items() if abs(x) == least)
 
 
 @dataclass(frozen=True)
@@ -411,8 +479,13 @@ class Lattice:
         self.matrix = m
         self.hnf = hermite_normal_form(m)
         h = self.hnf.H
-        # (pivot row, column) of each nonzero Hermite column, left to right.
-        self._pivots = [(i, h.col(j)) for i, j in self.hnf.pivots()]
+        # (pivot row, pivot, nonzeros below it) of each nonzero Hermite
+        # column, left to right; a column is zero above its pivot row.
+        self._pivots = []
+        for i, j in self.hnf.pivots():
+            col = h.col(j)
+            below = [(k, x) for k, x in enumerate(col[i + 1 :], i + 1) if x]
+            self._pivots.append((i, col[i], below))
 
     @property
     def rank(self) -> int:
@@ -423,15 +496,16 @@ class Lattice:
         None when vec is not in the lattice."""
         if len(vec) != self.matrix.rows:
             raise ValueError("dimension mismatch")
-        residue = [int(x) for x in vec]
+        residue = list(int_tuple(vec, "vector entry"))
         y = []
-        for i, col in self._pivots:
-            q, r = divmod(residue[i], col[i])
+        for i, p, below in self._pivots:
+            q, r = divmod(residue[i], p)
             if r != 0:
                 return None
             if q:
-                for k in range(i, len(residue)):
-                    residue[k] -= q * col[k]
+                residue[i] = 0
+                for k, x in below:
+                    residue[k] -= q * x
             y.append(q)
         # Rows above a pivot are untouched by later columns, so a
         # nonzero leftover anywhere means vec is outside the span.

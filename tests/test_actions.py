@@ -18,9 +18,7 @@ from critgroups.actions import (
     identity_perm,
     is_harmonic,
     orbits,
-    pair_stabilizer,
     require_harmonic,
-    stabilizer,
 )
 from critgroups.families import (
     CHAIN_BASES,
@@ -67,6 +65,18 @@ def test_automorphism_must_keep_edge_multiplicities():
         check_automorphism(looped_end, [2, 1, 0])
     looped_ends = Multigraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
     assert check_automorphism(looped_ends, [2, 1, 0]) == (2, 1, 0)
+
+
+# Harmonicity reference helpers: each rescans the whole group, where
+# actions._harmonic_offender reads per-vertex fixers off the element table.
+def stabilizer(group, v):
+    """Elements fixing v."""
+    return [p for p in group if p[v] == v]
+
+
+def pair_stabilizer(group, u, v):
+    """Elements fixing both u and v."""
+    return [p for p in group if p[u] == u and p[v] == v]
 
 
 def _offender_by_pair_stabilizers(g, group):

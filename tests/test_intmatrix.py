@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from critgroups import abelian
 from critgroups.abelian import Cokernel
+from critgroups.decomposition import DecompositionContext, laplacian_mod_symmetric_firings
 from critgroups.families import (
     chained_copies,
     circulant,
@@ -127,9 +129,10 @@ def test_smith_normal_form_invariants_bulk():
 
 
 def smith_normal_form_reference(m):
-    """The eager Smith form the logged one replaced, kept as a reference
-    route: the same pivoting, with U and U⁻¹ updated alongside every
-    row operation.  Returns (U, S, Uinv)."""
+    """The dense, eager Smith form that the logged and then the sparse
+    ones replaced, kept as a reference route: smallest-magnitude
+    pivoting, with U and U⁻¹ updated alongside every row operation.
+    Returns (U, S, Uinv)."""
     rows, cols = m.rows, m.cols
     a = m.to_rows()
     u = IntMatrix.identity(rows).to_rows()
@@ -349,6 +352,18 @@ def test_lattice_membership_trivial_cases():
         Lattice(m).contains([1, 1, 1])
 
 
+def test_lattice_queries_reject_non_int_entries():
+    """A float, bool or string entry raises TypeError instead of being
+    converted: int() would truncate [2.5, 0] to the member [2, 0]."""
+    lat = Lattice(IntMatrix.diagonal([2, 2]))
+    for vec in ([2.5, 0], [2.9, 2], [True, 0], ["2", 0]):
+        with pytest.raises(TypeError, match="vector entry"):
+            lat.contains(vec)
+        with pytest.raises(TypeError, match="vector entry"):
+            lat.hermite_coords(vec)
+    assert lat.hermite_coords([2, 2]) == [1, 1]
+
+
 def test_lattice_membership_vs_bounded_search():
     rng = random.Random(41)
     for _ in range(250):
@@ -498,11 +513,29 @@ def smith_inputs(draw):
     return IntMatrix.from_rows(rows, c)
 
 
+@st.composite
+def sparse_inputs(draw):
+    """9 to 16 rows, so that the pivot search weighs only some of the
+    rows that hold a unit; mostly zeros, with units and a few larger
+    entries, and sometimes a scale above 1 (no unit at all)."""
+    r, c = draw(st.integers(9, 16)), draw(st.integers(9, 16))
+    scale = draw(st.sampled_from([1, 1, 1, 2]))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, 2, -3])
+    entries = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, [scale * x for x in entries])
+
+
 def assert_smith_matches_reference(m):
-    u, s, uinv = smith_normal_form_reference(m)
+    """S equals the eager reference's S entry for entry.  The sparse
+    elimination pivots in another order, so U and U⁻¹ may differ from
+    the reference's; they are checked by what makes them valid: U·U⁻¹
+    is the identity (so U is unimodular), and U·M spans the column
+    lattice of S (so U·M·V == S for a unimodular V)."""
+    _, s, _ = smith_normal_form_reference(m)
     snf = smith_normal_form(m)
     assert snf.S == s
-    assert (snf.U, snf.Uinv) == (u, uinv)  # replayed on this first read
+    assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)  # replayed on this first read
+    assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
 
 
 @PROPERTY
@@ -512,10 +545,10 @@ def assert_smith_matches_reference(m):
 @example(IntMatrix.from_rows([[2, 0], [0, 3]], 2))  # unit-free, needs the repair
 @example(IntMatrix.from_rows([[-4, 6], [6, -9]], 2))  # negative pivots, rank 1
 @example(IntMatrix.from_rows([[0, 0, 0], [0, -6, 4]], 3))  # zero row, wide
-@given(smith_inputs())
+@given(st.one_of(smith_inputs(), sparse_inputs()))
 def test_smith_form_matches_eager_reference(m):
-    """The logged elimination and the transforms replayed from its log
-    are identical, entry for entry, to the eager reference."""
+    """The sparse elimination gives the eager reference's S, and valid
+    transforms replayed from its log."""
     assert_smith_matches_reference(m)
 
 
@@ -536,6 +569,31 @@ FAMILY_GRAPHS = {
 @pytest.mark.parametrize("family", FAMILY_GRAPHS)
 def test_smith_form_of_family_laplacians_matches_eager_reference(family):
     assert_smith_matches_reference(reduced_laplacian(FAMILY_GRAPHS[family](), 0))
+
+
+def test_smith_elimination_limits_fill_on_a_laplacian():
+    """The reduced Laplacian of concentric_polygon(64), 191x191 with 823
+    nonzeros: the dense elimination logged 6562 row operations."""
+    m = reduced_laplacian(concentric_polygon(64)[0], 0)
+    assert len(smith_normal_form(m)._row_ops) <= 6562 // 2
+
+
+def test_smith_elimination_limits_fill_on_the_symmetric_firing_matrix(monkeypatch):
+    """The 200x201 generator matrix of laplacian_mod_symmetric_firings
+    on circulant(200,[1,3]), 400 nonzeros and a trivial cokernel: the
+    dense elimination pivoted in the all-ones column first, filled every
+    row and logged 20099 operations."""
+    ctx = DecompositionContext(*circulant(200, [1, 3]))
+    made = []
+
+    def recording(m):
+        made.append(smith_normal_form(m))
+        return made[-1]
+
+    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    assert laplacian_mod_symmetric_firings(ctx).order == 1
+    (snf,) = [snf for snf in made if (snf.S.rows, snf.S.cols) == (200, 201)]
+    assert len(snf._row_ops) <= 20099 // 2
 
 
 @pytest.mark.parametrize("family", FAMILY_GRAPHS)
@@ -618,7 +676,7 @@ def test_smith_invariant_factors_match_sympy():
     from sympy.matrices.normalforms import invariant_factors
 
     @PROPERTY
-    @given(small_matrices())
+    @given(st.one_of(small_matrices(), sparse_inputs()))
     def agree(m):
         theirs = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
         assert smith_normal_form(m).invariant_factors() == [int(f) for f in theirs if f != 0]

@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (85 runs):
+The run set (87 runs):
   * ``--format json compute`` on the 19 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -23,8 +23,11 @@ The run set (85 runs):
     --trials 25 --seed 7``, ``--format json verify --trials 150 --seed 7
     --oracle`` and text ``verify --trials 0 --oracle``;
   * ``--format json verify --trials 25 --seed 7`` on the top of the
-    ladder, ``concentric_polygon(48)``, ``chained_copies(cycle4,51)``
-    and ``circulant(200,[1,3])`` (3, 52 and 5 invariant factors);
+    ladder, ``concentric_polygon(48)``, ``chained_copies(cycle4,51)``,
+    ``circulant(200,[1,3])``, ``concentric_polygon(64)`` and
+    ``chained_copies(cycle4,67)`` (3, 52, 5, 3 and 68 invariant
+    factors), so that the transforms of the largest Smith forms reach
+    the reports;
   * ``--format json compute`` and text ``compute`` on the empty and the
     one-vertex graph;
   * ``--format json verify`` on two rejected actions: the 3-leaf star
@@ -82,7 +85,13 @@ VERIFIED = (
     "edge_reflected_cycle10",
 )
 
-VERIFIED_TOP = ("concentric_polygon(48)", "chained_copies(cycle4,51)", "circulant(200,[1,3])")
+VERIFIED_TOP = (
+    "concentric_polygon(48)",
+    "chained_copies(cycle4,51)",
+    "circulant(200,[1,3])",
+    "concentric_polygon(64)",
+    "chained_copies(cycle4,67)",
+)
 
 
 def _looped(labels: list[str], cycle: list[tuple[str, str]], sigma1: dict, sigma2: dict) -> dict:
