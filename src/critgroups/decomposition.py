@@ -47,8 +47,6 @@ from .divisors import (
     Divisor,
     critical_group,
     is_principal,
-    quotient_by_subgroup,
-    subgroup_generated,
 )
 from .intmatrix import IntMatrix, Lattice
 from .multigraph import Multigraph, spanning_tree_count
@@ -70,13 +68,13 @@ class DecompositionContext:
     def __init__(self, g: Multigraph, action: DihedralAction, seed_shift: int = 0):
         self.graph = g
         self.action = action
+        self.cg = critical_group(g)  # a disconnected graph stops here, before the labeling
         self.labeling = classify_dihedral_orbits(g, action, seed_shift=seed_shift)
         self.n = action.n
         self.q1 = quotient_graph(g, [action.sigma1])
         self.q2 = quotient_graph(g, [action.sigma2])
         self.q3 = quotient_graph(g, [action.rotation])
         self.qhat = quotient_graph(g, [action.sigma1, action.sigma2])
-        self.cg = critical_group(g)
         self.cg_h = tuple(
             critical_group(q.quotient) for q in (self.q1, self.q2, self.q3)
         )
@@ -94,13 +92,9 @@ class DecompositionContext:
             return 3
         return (3 - i) if self.labeling.generators_swapped else i
 
-    def pullback_generators(self, i: int) -> list[Divisor]:
-        """Pullbacks of single-vertex differences spanning the degree-zero
-        divisors of quotient i: an explicit generating set of its image."""
-        return self._pullback_generator_lists[i - 1]
-
     @cached_property
     def _pullback_generator_lists(self) -> tuple[list[Divisor], ...]:
+        """Per quotient, the pullbacks of its single-vertex differences."""
         out = []
         for q in (self.q1, self.q2, self.q3):
             nq = q.quotient.vertex_count
@@ -114,10 +108,10 @@ class DecompositionContext:
         return tuple(out)
 
     def all_pullback_generators(self) -> list[Divisor]:
-        return [d for i in (1, 2, 3) for d in self.pullback_generators(i)]
+        return [d for gens in self._pullback_generator_lists for d in gens]
 
     def pair_pullback_generators(self) -> list[Divisor]:
-        return [d for i in (1, 2) for d in self.pullback_generators(i)]
+        return [d for gens in self._pullback_generator_lists[:2] for d in gens]
 
     # -- counts driving the predictions -----------------------------------
 
@@ -144,13 +138,18 @@ class DecompositionContext:
     # -- groups shared by several checks, each computed once ---------------
 
     @cached_property
+    def _pullback_map(self) -> GroupHom:
+        """The natural map from the three quotient groups into K(G)."""
+        return _pullback_hom(self, zip(self.cg_h, (self.q1, self.q2, self.q3)))[0]
+
+    @cached_property
     def pair_image(self) -> FinAbGroup:
         """Subgroup generated by the two involution pullback images."""
-        if not self.pullback_generators(3):
-            # One-vertex rotation quotient: the pair generators are all of them.
+        pair = len(self.cg_h[0].moduli) + len(self.cg_h[1].moduli)
+        if pair == self._pullback_map.matrix.cols:
+            # Trivial rotation quotient group: the pair columns are all of them.
             return self.pullback_image[0]
-        gens = self.pair_pullback_generators()
-        return subgroup_generated(self.cg, [d.values for d in gens])
+        return self.cg._coker.kernel_onto(_image_quotient(self, pair))
 
     @cached_property
     def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
@@ -160,20 +159,26 @@ class DecompositionContext:
 
     @cached_property
     def pullback_quotient(self) -> Cokernel:
-        """The critical group modulo the image of all three pullbacks."""
-        gens = self.all_pullback_generators()
-        return quotient_by_subgroup(self.cg, [d.values for d in gens])
+        """The critical group modulo the image of the natural map."""
+        return _image_quotient(self, self._pullback_map.matrix.cols)
 
     @cached_property
     def pullback_kernel(self) -> FinAbGroup:
         """Kernel of the natural map from the three quotient groups."""
-        groups = zip(self.cg_h, (self.q1, self.q2, self.q3))
-        return kernel_of_hom(_pullback_hom(self, groups)[0])
+        return kernel_of_hom(self._pullback_map)
 
     @cached_property
     def divisor_quotient(self) -> Cokernel:
         """Degree-zero divisors (root dropped) modulo pullback sums."""
         return Cokernel(triple_sum_matrix(self))
+
+
+def _image_quotient(ctx: DecompositionContext, cols: int) -> Cokernel:
+    """The critical group modulo the image of the first ``cols`` columns
+    of the natural map: the cokernel of [diag(d) | those columns]."""
+    m = ctx._pullback_map.matrix
+    images = IntMatrix.from_rows([m.row(i)[:cols] for i in range(m.rows)], cols)
+    return Cokernel(IntMatrix.diagonal(list(ctx.cg.moduli)).hstack(images))
 
 
 # ---------------------------------------------------------------------------

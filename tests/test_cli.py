@@ -154,6 +154,25 @@ def test_disconnected_exit_3(capsys, tmp_path):
         )
     )
     assert run(capsys, "compute", str(path))[0] == 3
+    # Two triangles swapped by both involutions: the labeling would fail,
+    # but the graph is rejected as disconnected first.
+    tri = [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "f"], ["f", "d"]]
+    swap = {"a": "d", "d": "a"}
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": list("abcdef"),
+                "edges": tri,
+                "actions": {
+                    "sigma1": {**swap, "b": "e", "e": "b", "c": "f", "f": "c"},
+                    "sigma2": {**swap, "b": "f", "f": "b", "c": "e", "e": "c"},
+                },
+            }
+        )
+    )
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_family_round_trip(capsys, tmp_path):

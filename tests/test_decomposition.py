@@ -10,7 +10,7 @@ import random
 import pytest
 
 import critgroups
-from critgroups import actions, decomposition, divisors, intmatrix
+from critgroups import actions, decomposition, intmatrix
 from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quotient
 from critgroups.cli import main
 from critgroups.decomposition import (
@@ -487,6 +487,8 @@ def test_pullback_images_match_hermite_route(name):
     all_gens = [d.values for d in ctx.all_pullback_generators()]
     assert ctx.pair_image == subgroup_by_hermite_form(ctx.cg, pair_gens)
     assert ctx.pullback_image[0] == subgroup_by_hermite_form(ctx.cg, all_gens)
+    # The natural map's columns and the vertex-difference generators give one quotient.
+    assert ctx.pullback_quotient.group == quotient_by_subgroup(ctx.cg, all_gens).group
 
 
 def _patch_everywhere(mp, module, name, wrap):
@@ -569,20 +571,20 @@ def _record_results(mp, module, name):
     return seen
 
 
-def _projected_smith_forms(ctx, subgroup_quotients):
+def _projected_smith_forms(ctx, image_quotients):
     """The Smith forms of the cokernels a verify projects into or lifts
     from: the graph's group, the four quotient groups, the
-    divisor-class quotient, and the quotients by generated subgroups
-    (whose projections define the subgroups as kernels)."""
+    divisor-class quotient, and the quotients by the natural map's
+    images (whose projections define the images as kernels)."""
     groups = (ctx.cg, *ctx.cg_h, ctx.cg_hat)
-    cokernels = [ctx.divisor_quotient, *subgroup_quotients]
+    cokernels = [ctx.divisor_quotient, *image_quotients]
     return [cg._coker._snf for cg in groups] + [c._snf for c in cokernels]
 
 
 VERIFY_GATE_INSTANCES = [
     (lambda: concentric_polygon(8), False, 0, 7),
     (lambda: chain("cycle4", 9), False, 0, 8),
-    # One-vertex rotation quotient: pair and triple generators coincide.
+    # One-vertex rotation quotient: the pair columns are all of them.
     (lambda: circulant(21, [1, 2, 3]), True, 2, 5),
 ]
 VERIFY_GATE_IDS = [
@@ -599,14 +601,14 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
     """A deterministic gate on repeated exact work: during a verify each
     HNF input is distinct, the number of HNFs is fixed (none without the
     oracle sweep) and does not grow with the sweep length, the quotient
-    by each generated subgroup (pair and full pullback images) is
-    computed once per distinct generator list, each as one Smith form
-    over the group's own k invariant-factor coordinates, which also
-    gives the subgroup as a kernel, every quotient graph's group is
-    closed from at most two generators, never from a list of its
-    elements, and only the cokernels that are projected into or lifted
-    from build a transform, a fixed number of them (a trivial group
-    builds none)."""
+    by each image of the natural map (its k1 + k2 pair columns and all
+    k1 + k2 + k3 of them) is computed once per distinct column count,
+    each as one Smith form of [diag(d) | columns] over the group's own
+    k invariant-factor coordinates, which also gives the image as a
+    kernel, every quotient graph's group is closed from at most two
+    generators, never from a list of its elements, and only the
+    cokernels that are projected into or lifted from build a
+    transform, a fixed number of them (a trivial group builds none)."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
@@ -616,18 +618,17 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
             ctx = DecompositionContext(g, act)
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
-            quotients = _record_calls(mp, divisors, "quotient_by_subgroup", arg=1)
-            quotient_snfs = _record_inner_calls(mp, divisors, "quotient_by_subgroup", snf_inputs)
-            quotient_cokernels = _record_results(mp, divisors, "quotient_by_subgroup")
+            column_counts = _record_calls(mp, decomposition, "_image_quotient", arg=1)
+            quotient_snfs = _record_inner_calls(mp, decomposition, "_image_quotient", snf_inputs)
+            quotient_cokernels = _record_results(mp, decomposition, "_image_quotient")
             assert run_all_checks(ctx, trials=trials, seed=1, oracle=oracle).passed
         assert len(set(hnf_inputs)) == len(hnf_inputs)
-        gen_lists = [tuple(tuple(d) for d in gens) for gens in quotients]
-        pair = tuple(d.values for d in ctx.pair_pullback_generators())
-        full = tuple(d.values for d in ctx.all_pullback_generators())
-        images = {pair, full}  # one list when the rotation quotient has one vertex
-        assert sorted(gen_lists) == sorted(images)
-        k_rows = [[len(ctx.cg.moduli)]] * len(images)
-        assert [[m.rows for m in snfs] for snfs in quotient_snfs] == k_rows
+        k = len(ctx.cg.moduli)
+        k1, k2, k3 = (len(cgq.moduli) for cgq in ctx.cg_h)
+        images = {k1 + k2, k1 + k2 + k3}  # one count when K(G/H3) is trivial
+        assert sorted(column_counts) == sorted(images)
+        shapes = [[(m.rows, m.cols) for m in snfs] for snfs in quotient_snfs]
+        assert shapes == [[(k, k + cols)] for cols in column_counts]
         assert closures and max(len(gens) for gens in closures) <= 2
         projected = {id(snf) for snf in _projected_smith_forms(ctx, quotient_cokernels)}
         assert {id(snf) for snf in replayed} <= projected
@@ -661,8 +662,8 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     cokernels of ``kernel_of_hom``, ``laplacian_mod_symmetric_firings``
     and the divisor-class quotient's ``quotient_by`` are read only for
     their group: none of them replays a Smith form's row-op log.  The
-    quotients by generated subgroups are projected into, to give each
-    subgroup as a kernel, so only they may replay theirs."""
+    quotients by the natural map's images are projected into, to give
+    each image as a kernel, so only they may replay theirs."""
     g, act = maker()
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_to_json(g, act)))
@@ -677,15 +678,15 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     for cgq in (*ctx.cg_h, ctx.cg_hat):
         cgq.generator_divisors()
     shared = len(replayed)
-    quotients = _record_results(monkeypatch, divisors, "quotient_by_subgroup")
+    quotients = _record_results(monkeypatch, decomposition, "_image_quotient")
     laplacian_mod_symmetric_firings(ctx)
     ctx.pair_image  # kernel_of_hom of the projection onto the pair quotient
     ctx.pullback_image  # and onto pullback_quotient
     ctx.pullback_kernel  # kernel_of_hom
     firing = ctx.cg.reduced
     ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
-    subgroup_quotients = {id(quotient._snf) for quotient in quotients}
-    assert quotients and {id(snf) for snf in replayed[shared:]} <= subgroup_quotients
+    image_quotients = {id(quotient._snf) for quotient in quotients}
+    assert quotients and {id(snf) for snf in replayed[shared:]} <= image_quotients
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])

@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (87 runs):
+The run set (88 runs):
   * ``--format json compute`` on the 19 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -30,10 +30,12 @@ The run set (87 runs):
     the reports;
   * ``--format json compute`` and text ``compute`` on the empty and the
     one-vertex graph;
-  * ``--format json verify`` on two rejected actions: the 3-leaf star
-    c-x, c-y, c-z under (x y) and (y z), not harmonic (exit 5), and the
+  * ``--format json verify`` on three rejected inputs: the 3-leaf star
+    c-x, c-y, c-z under (x y) and (y z), not harmonic (exit 5), the
     path a-m-b under (a m) and (a b), where (a m) is no automorphism
-    (exit 2);
+    (exit 2), and the two triangles a-b-c and d-e-f under
+    (a d)(b e)(c f) and (a d)(b f)(c e), disconnected and with no orbit
+    labeling (exit 3);
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
 
 Stdlib only.
@@ -151,9 +153,17 @@ WRITTEN = {
             "sigma2": {"a": "b", "m": "m", "b": "a"},
         },
     },
+    "two_triangles": {
+        "vertices": ["a", "b", "c", "d", "e", "f"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "f"], ["f", "d"]],
+        "actions": {
+            "sigma1": {"a": "d", "b": "e", "c": "f", "d": "a", "e": "b", "f": "c"},
+            "sigma2": {"a": "d", "b": "f", "c": "e", "d": "a", "e": "c", "f": "b"},
+        },
+    },
 }
 
-REJECTED = ("star_nonharmonic", "path_not_automorphism")
+REJECTED = ("star_nonharmonic", "path_not_automorphism", "two_triangles")
 
 
 def file_name(name: str) -> str:
