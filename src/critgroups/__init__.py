@@ -43,7 +43,6 @@ from .intmatrix import (
 from .multigraph import (
     DisconnectedGraphError,
     Multigraph,
-    adjacency_matrix,
     laplacian,
     reduced_laplacian,
     spanning_tree_count,

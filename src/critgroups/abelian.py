@@ -12,7 +12,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .intmatrix import IntMatrix, Lattice, int_tuple, smith_normal_form
+from .intmatrix import IntMatrix, Lattice, _walk_log, int_tuple, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -112,32 +112,39 @@ class Cokernel:
     """Z^n modulo the integer column span of a relation matrix, in its
     own invariant-factor coordinates.
 
-    Of the Smith form only the k rows of the row transform whose factor
+    Of the Smith form only the k rows of the row transform U whose factor
     d_r exceeds 1 are kept, each reduced mod d_r, with the k matching
-    columns of its inverse; each is built on first use, so a cokernel
-    read only for its group never builds a transform.  The quotient must
-    be finite (the relations have full row rank); this is asserted at
-    construction.
+    columns of U⁻¹; each is read on first use by one walk of the row-op
+    log over k vectors, so a cokernel read only for its group, or
+    trivial, walks nothing.  The quotient must be finite (n nonzero
+    invariant factors); this is asserted at construction.
     """
 
     def __init__(self, relations: IntMatrix):
         self.relations = relations
         self._snf = smith_normal_form(relations)
-        n = relations.rows
-        diag = [self._snf.S[i, i] for i in range(min(n, relations.cols))]
-        if len(diag) < n or any(d == 0 for d in diag):
+        factors = self._snf.invariant_factors()
+        if len(factors) != relations.rows:
             raise ValueError("cokernel is infinite: relations not full rank")
-        self._kept = [r for r, d in enumerate(diag) if d != 1]
-        self.moduli = tuple(diag[r] for r in self._kept)
+        self._kept = [r for r, d in enumerate(factors) if d != 1]
+        self.moduli = tuple(factors[r] for r in self._kept)
         self.group = FinAbGroup(self.moduli)
+
+    def _walk(self, inverse: bool) -> list[list[int]]:
+        """n×k: column c is U's kept row c mod d_c, or U⁻¹'s kept column c."""
+        if not self._kept:
+            return []
+        units = [[int(i == r) for r in self._kept] for i in range(self.relations.rows)]
+        return _walk_log(self._snf._row_ops, units, inverse, () if inverse else self.moduli)
 
     @cached_property
     def _rows(self) -> list[list[int]]:
-        return [[x % d for x in self._snf.U.row(r)] for r, d in zip(self._kept, self.moduli)]
+        w = self._walk(inverse=False)
+        return [[v[c] % d for v in w] for c, d in enumerate(self.moduli)]
 
     @cached_property
-    def _lifts(self) -> list[list[int]]:
-        return [self._snf.Uinv.col(r) for r in self._kept]
+    def _lifts(self) -> list[tuple[int, ...]]:
+        return list(zip(*self._walk(inverse=True)))
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Class of an ambient vector, in generator coordinates."""

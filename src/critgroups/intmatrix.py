@@ -8,7 +8,6 @@ operations return fresh objects.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -185,11 +184,10 @@ class SnfResult:
     unimodular V that is not built.
 
     The elimination works on sparse rows, pivoting on units of least
-    Markowitz cost, and logs its row operations instead of applying them
-    to transforms.  S is unique; U and U⁻¹ depend on the pivot order.
-    ``U`` (read to project) and ``Uinv`` (read to lift generators)
-    replay that log on first read, so a caller that reads only S never
-    builds them.  S is the only field.
+    Markowitz cost, and logs its row operations: U is that log applied
+    to the identity, and ``_walk_log`` reads from it only the rows of U
+    or columns of U⁻¹ a caller needs.  S is unique; U depends on the
+    pivot order.  S is the only field.
     """
 
     S: IntMatrix
@@ -200,42 +198,32 @@ class SnfResult:
 
     def invariant_factors(self) -> list[int]:
         """Diagonal of S, nonzero entries only (they satisfy d1 | d2 | ...)."""
-        out = []
-        for k in range(min(self.S.rows, self.S.cols)):
-            d = self.S[k, k]
-            if d != 0:
-                out.append(d)
-        return out
-
-    @cached_property
-    def U(self) -> IntMatrix:
-        return IntMatrix.from_rows(self._replay(inverse=False), self.S.rows)
-
-    @cached_property
-    def Uinv(self) -> IntMatrix:
-        return IntMatrix.from_cols(self._replay(inverse=True), self.S.rows)
-
-    def _replay(self, inverse: bool) -> list[list[int]]:
-        """Rows of U, or of the transpose of U⁻¹: a row op on U is the
-        inverse column op on U⁻¹, a row op on its transpose."""
-        return _replay_row_ops(self.S.rows, self._row_ops, inverse)
+        diag = (self.S[k, k] for k in range(min(self.S.rows, self.S.cols)))
+        return [d for d in diag if d]
 
 
-def _replay_row_ops(n: int, ops: Sequence[tuple], inverse: bool = False) -> list[list[int]]:
-    """Rows of the n×n identity after the logged row ops (swap, negate,
-    and ("add", i, j, q): row_i += q * row_j) in order; with ``inverse``
-    each add becomes row_j -= q * row_i."""
-    m = IntMatrix.identity(n).to_rows()
-    for kind, i, j, q in ops:
+def _walk_log(
+    ops: Sequence[tuple], w: list[list[int]], inverse: bool = False, moduli: Sequence[int] = ()
+) -> list[list[int]]:
+    """The n×k array w walked backwards, in place, through a log of row
+    ops (swap, negate, ("add", i, j, q): row_i += q * row_j) whose
+    product, applied to the identity, is X: U for a Smith log, Tᵀ for a
+    Hermite one.  Each column v of w becomes vᵀX, so e_r becomes row r
+    of X, by w[j] += q * w[i] per add, reduced mod the column's modulus
+    when ``moduli`` are given; with ``inverse`` it becomes X⁻¹v, so e_r
+    becomes column r of X⁻¹, by w[i] -= q * w[j].  O(k) per op."""
+    for kind, i, j, q in reversed(ops):
         if kind == "swap":
-            m[i], m[j] = m[j], m[i]
+            w[i], w[j] = w[j], w[i]
         elif kind == "negate":
-            m[i] = [-x for x in m[i]]
+            w[i] = [-x for x in w[i]]
         elif inverse:
-            m[j] = [x - q * y for x, y in zip(m[j], m[i])]
+            w[i] = [x - q * y for x, y in zip(w[i], w[j])]
+        elif moduli:
+            w[j] = [(x + q * y) % d for x, y, d in zip(w[j], w[i], moduli)]
         else:
-            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-    return m
+            w[j] = [x + q * y for x, y in zip(w[j], w[i])]
+    return w
 
 
 # How many rows holding a unit, taken in index order, the Smith pivot
@@ -245,7 +233,7 @@ _UNIT_SEARCH_ROWS = 8
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form by elimination over sparse rows, with the row
-    transform and its inverse built on first read.
+    operations logged for ``_walk_log``.
 
     Each row is a dict of its nonzero entries, and each column keeps the
     set of rows with a nonzero in it.  A step pivots on a unit entry when
@@ -391,9 +379,10 @@ class HnfResult:
     strictly increase, pivots are positive, entries left of a pivot in
     its row are reduced into [0, pivot), and zero columns trail.
 
-    The elimination logs its column operations; ``T`` (read to solve
-    and for kernels) replays that log on first read, so a caller that
-    reads only H never builds it.  H is the only field.
+    The elimination logs its column operations instead of applying them
+    to T; ``solve_in_column_span`` and ``integer_kernel`` walk that log
+    (``_walk_log``) for just the columns of T they read.  H is the only
+    field.
     """
 
     H: IntMatrix
@@ -401,14 +390,6 @@ class HnfResult:
 
     def __post_init__(self, col_ops):
         object.__setattr__(self, "_col_ops", tuple(col_ops))
-
-    @cached_property
-    def T(self) -> IntMatrix:
-        return IntMatrix.from_cols(self._replay(), self.H.cols)
-
-    def _replay(self) -> list[list[int]]:
-        """Columns of T: a column op on T is a row op on its transpose."""
-        return _replay_row_ops(self.H.cols, self._col_ops)
 
     def pivots(self) -> list[tuple[int, int]]:
         """(row, col) of each pivot."""
@@ -424,7 +405,7 @@ class HnfResult:
 
 def hermite_normal_form(m: IntMatrix) -> HnfResult:
     """Column-style Hermite normal form via unimodular column operations,
-    with the transform built on first read."""
+    logged for ``_walk_log``."""
     rows, cols = m.rows, m.cols
     a = [m.col(j) for j in range(cols)]  # a[j][i] is entry (i, j)
     ops: list[tuple] = []
@@ -518,20 +499,22 @@ class Lattice:
 
 
 def solve_in_column_span(m: IntMatrix, vec: Sequence[int]) -> list[int] | None:
-    """An integer x with m @ x == vec, or None if no integral solution."""
+    """An integer x with m @ x == vec, or None if no integral solution:
+    x = T @ y for the Hermite coordinates y of vec, one walk of T's log."""
     lattice = Lattice(m)
     y = lattice.hermite_coords(vec)
     if y is None:
         return None
-    return lattice.hnf.T.apply(y + [0] * (m.cols - len(y)))
+    w = [[x] for x in y + [0] * (m.cols - len(y))]
+    return [x for (x,) in _walk_log(lattice.hnf._col_ops, w)]
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis for {x : m @ x == 0}, as columns.  May have zero columns count."""
     hnf = hermite_normal_form(m)
-    zero_cols = [
-        j for j in range(m.cols) if all(hnf.H[i, j] == 0 for i in range(m.rows))
-    ]
-    # Columns of T over the zero columns of H form a kernel basis: T is
-    # unimodular, so they are independent, and they exhaust the kernel.
-    return IntMatrix.from_cols([hnf.T.col(j) for j in zero_cols], m.cols)
+    # Columns of T over the zero columns of H, which trail, form a kernel
+    # basis: T is unimodular, so they are independent, and they exhaust
+    # the kernel.
+    zero_cols = range(len(hnf.pivots()), m.cols)
+    units = [[int(i == j) for j in zero_cols] for i in range(m.cols)]
+    return IntMatrix.from_rows(_walk_log(hnf._col_ops, units), len(zero_cols))

@@ -90,17 +90,6 @@ class Multigraph:
         return len(self.edges) == self.vertex_count - 1 and self.is_connected()
 
 
-def adjacency_matrix(g: Multigraph) -> IntMatrix:
-    """Symmetric matrix of parallel-edge counts; loops are excluded."""
-    n = g.vertex_count
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        if u != v:
-            a[u][v] += 1
-            a[v][u] += 1
-    return IntMatrix.from_rows(a, n)
-
-
 def laplacian(g: Multigraph) -> IntMatrix:
     """Degree matrix minus adjacency matrix (positive semidefinite)."""
     n = g.vertex_count

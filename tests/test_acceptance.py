@@ -77,6 +77,7 @@ from critgroups.intmatrix import (
 from critgroups.multigraph import Multigraph, spanning_tree_count
 from critgroups.oracles import brute_force_spanning_trees
 from critgroups.quotients import is_pullback, pullback, quotient_graph
+from test_intmatrix import replayed_hermite_transform, replayed_smith_transforms
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -618,16 +619,19 @@ def test_criterion_7_linear_algebra_suite():
         c = rng.randint(1, 6)
         m = IntMatrix(r, c, [rng.randint(-9, 9) for _ in range(r * c)])
         snf = smith_normal_form(m)
+        # The transforms are replayed in full from the op logs.
+        u, uinv = replayed_smith_transforms(snf)
         # U*M*V == S for a unimodular V exactly when U*M and S span the
         # same column lattice, whose canonical basis is the column HNF.
-        ok &= hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
-        ok &= abs(det_bareiss(snf.U)) == 1
+        ok &= hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+        ok &= abs(det_bareiss(u)) == 1
+        ok &= u * uinv == IntMatrix.identity(r)
         diag = [snf.S[i, i] for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 ok &= a != 0 and b % a == 0
         hnf = hermite_normal_form(m)
-        ok &= m * hnf.T == hnf.H
+        ok &= m * replayed_hermite_transform(hnf) == hnf.H
         ok &= hermite_normal_form(hnf.H).H == hnf.H
     # matrix-tree versus enumeration on every small graph the suite uses
     small = [

@@ -541,20 +541,6 @@ def _record_inner_calls(mp, module, name, inner):
     return per_call
 
 
-def _record_replays(mp, result=intmatrix.SnfResult):
-    """Record each normal form (a Smith form unless ``result`` says
-    otherwise) whose op log is replayed into a transform."""
-    seen = []
-    raw = result._replay
-
-    def recording(self, *args, **kwargs):
-        seen.append(self)
-        return raw(self, *args, **kwargs)
-
-    mp.setattr(result, "_replay", recording)
-    return seen
-
-
 def _record_results(mp, module, name):
     """Wrap module.name at every binding site in the package and return
     the list of its results."""
@@ -595,9 +581,9 @@ VERIFY_GATE_IDS = [
 
 
 @pytest.mark.parametrize(
-    "maker, oracle, hnfs, replays", VERIFY_GATE_INSTANCES, ids=VERIFY_GATE_IDS
+    "maker, oracle, hnfs, walks", VERIFY_GATE_INSTANCES, ids=VERIFY_GATE_IDS
 )
-def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, replays):
+def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, walks):
     """A deterministic gate on repeated exact work: during a verify each
     HNF input is distinct, the number of HNFs is fixed (none without the
     oracle sweep) and does not grow with the sweep length, the quotient
@@ -607,14 +593,15 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
     k invariant-factor coordinates, which also gives the image as a
     kernel, every quotient graph's group is closed from at most two
     generators, never from a list of its elements, and only the
-    cokernels that are projected into or lifted from build a
-    transform, a fixed number of them (a trivial group builds none)."""
+    cokernels that are projected into or lifted from walk their Smith
+    form's op log, a fixed number of walks (a trivial group walks
+    none)."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
         with monkeypatch.context() as mp:
             closures = _record_calls(mp, actions, "generate_group", arg=1)
-            replayed = _record_replays(mp)
+            walked = _record_calls(mp, intmatrix, "_walk_log")
             ctx = DecompositionContext(g, act)
             hnf_inputs = _record_calls(mp, intmatrix, "hermite_normal_form")
             snf_inputs = _record_calls(mp, intmatrix, "smith_normal_form")
@@ -630,9 +617,9 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, repla
         shapes = [[(m.rows, m.cols) for m in snfs] for snfs in quotient_snfs]
         assert shapes == [[(k, k + cols)] for cols in column_counts]
         assert closures and max(len(gens) for gens in closures) <= 2
-        projected = {id(snf) for snf in _projected_smith_forms(ctx, quotient_cokernels)}
-        assert {id(snf) for snf in replayed} <= projected
-        assert len(replayed) == replays
+        projected = {id(snf._row_ops) for snf in _projected_smith_forms(ctx, quotient_cokernels)}
+        assert {id(ops) for ops in walked} <= projected
+        assert len(walked) == walks
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50] == hnfs
 
@@ -661,23 +648,23 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     """``compute`` reads only invariant factors, and the throwaway
     cokernels of ``kernel_of_hom``, ``laplacian_mod_symmetric_firings``
     and the divisor-class quotient's ``quotient_by`` are read only for
-    their group: none of them replays a Smith form's row-op log.  The
+    their group: none of them walks a Smith form's row-op log.  The
     quotients by the natural map's images are projected into, to give
-    each image as a kernel, so only they may replay theirs."""
+    each image as a kernel, so only they may walk theirs."""
     g, act = maker()
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_to_json(g, act)))
-    replayed = _record_replays(monkeypatch)
+    walked = _record_calls(monkeypatch, intmatrix, "_walk_log")
     assert main(["compute", str(path)]) == 0
     ctx = DecompositionContext(g, act)
-    assert replayed == []
-    # Build the transforms the checks read from the shared groups first,
-    # so that only the throwaway cokernels remain to be counted.
+    assert walked == []
+    # Walk the logs the checks read from the shared groups first, so
+    # that only the throwaway cokernels remain to be counted.
     ctx.cg.project([0] * g.vertex_count)
     ctx.divisor_quotient.project([0] * ctx.divisor_quotient.relations.rows)
     for cgq in (*ctx.cg_h, ctx.cg_hat):
         cgq.generator_divisors()
-    shared = len(replayed)
+    shared = len(walked)
     quotients = _record_results(monkeypatch, decomposition, "_image_quotient")
     laplacian_mod_symmetric_firings(ctx)
     ctx.pair_image  # kernel_of_hom of the projection onto the pair quotient
@@ -685,17 +672,18 @@ def test_smith_forms_read_for_their_group_build_no_transform(monkeypatch, tmp_pa
     ctx.pullback_kernel  # kernel_of_hom
     firing = ctx.cg.reduced
     ctx.divisor_quotient.quotient_by([firing.col(j) for j in range(firing.cols)])
-    image_quotients = {id(quotient._snf) for quotient in quotients}
-    assert quotients and {id(snf) for snf in replayed[shared:]} <= image_quotients
+    image_quotients = {id(quotient._snf._row_ops) for quotient in quotients}
+    assert quotients and {id(ops) for ops in walked[shared:]} <= image_quotients
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)
 def test_verify_builds_no_hermite_transform(monkeypatch, maker, oracle):
     """A plain verify computes no Hermite form, and the oracle sweep's
-    lattices are read only through H: none replays its log."""
+    lattices are read only through H: none walks its log."""
     g, act = maker()
-    replayed = _record_replays(monkeypatch, intmatrix.HnfResult)
-    hnf_inputs = _record_calls(monkeypatch, intmatrix, "hermite_normal_form")
+    walked = _record_calls(monkeypatch, intmatrix, "_walk_log")
+    hnfs = _record_results(monkeypatch, intmatrix, "hermite_normal_form")
     assert run_all_checks(DecompositionContext(g, act), trials=10, seed=1, oracle=oracle).passed
-    assert bool(hnf_inputs) == oracle and replayed == []
+    assert bool(hnfs) == oracle
+    assert not {id(ops) for ops in walked} & {id(hnf._col_ops) for hnf in hnfs}

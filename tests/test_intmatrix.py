@@ -23,6 +23,7 @@ from critgroups.families import (
 from critgroups.intmatrix import (
     IntMatrix,
     Lattice,
+    _walk_log,
     det_bareiss,
     hermite_normal_form,
     integer_kernel,
@@ -97,6 +98,39 @@ def det_bareiss_reference(m):
     return sign * a[n - 1][n - 1]
 
 
+def replay_row_ops(n, ops, inverse=False):
+    """The full replay the backward walk replaced, kept as the reference
+    route: the rows of the n×n identity after the logged row ops (swap,
+    negate, and ("add", i, j, q): row_i += q * row_j) in order.  With
+    ``inverse`` each add becomes row_j -= q * row_i, which gives the rows
+    of the transpose of the inverse."""
+    m = IntMatrix.identity(n).to_rows()
+    for kind, i, j, q in ops:
+        if kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "negate":
+            m[i] = [-x for x in m[i]]
+        elif inverse:
+            m[j] = [x - q * y for x, y in zip(m[j], m[i])]
+        else:
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def replayed_smith_transforms(snf):
+    """U and U⁻¹ of a Smith form, replayed in full from its row-op log."""
+    n = snf.S.rows
+    u = IntMatrix.from_rows(replay_row_ops(n, snf._row_ops), n)
+    return u, IntMatrix.from_cols(replay_row_ops(n, snf._row_ops, inverse=True), n)
+
+
+def replayed_hermite_transform(hnf):
+    """T of a Hermite form, replayed in full from its column-op log: a
+    column op on T is a row op on its transpose."""
+    n = hnf.H.cols
+    return IntMatrix.from_cols(replay_row_ops(n, hnf._col_ops), n)
+
+
 def test_determinant_against_cofactor_expansion():
     rng = random.Random(11)
     for _ in range(120):
@@ -110,11 +144,12 @@ def test_smith_normal_form_invariants_bulk():
     for _ in range(300):
         m = random_matrix(rng)
         snf = smith_normal_form(m)
+        u, uinv = replayed_smith_transforms(snf)
         # U*M*V == S for a unimodular V exactly when U*M and S span the
         # same column lattice, whose canonical basis is the column HNF.
-        assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
-        assert abs(det_bareiss(snf.U)) == 1
-        assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)
+        assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+        assert abs(det_bareiss(u)) == 1
+        assert u * uinv == IntMatrix.identity(m.rows)
         diag = [snf.S[i, i] for i in range(min(m.rows, m.cols))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -314,8 +349,9 @@ def test_hermite_invariants_bulk():
     for _ in range(250):
         m = random_matrix(rng)
         hnf = hermite_normal_form(m)
-        assert m * hnf.T == hnf.H
-        assert abs(det_bareiss(hnf.T)) == 1
+        t = replayed_hermite_transform(hnf)
+        assert m * t == hnf.H
+        assert abs(det_bareiss(t)) == 1
         again = hermite_normal_form(hnf.H)
         assert again.H == hnf.H  # idempotent
         # staircase shape with positive pivots and reduced entries
@@ -448,9 +484,10 @@ def test_from_rows_keeps_its_shape_when_empty():
         IntMatrix.from_rows([[1, 2]], 3)
     # The normal forms and products build their results with from_rows.
     snf = smith_normal_form(IntMatrix(0, 3, []))
-    assert (snf.U, snf.S, snf.Uinv) == (IntMatrix(0, 0, []), IntMatrix(0, 3, []), IntMatrix(0, 0, []))
+    u, uinv = replayed_smith_transforms(snf)
+    assert (u, snf.S, uinv) == (IntMatrix(0, 0, []), IntMatrix(0, 3, []), IntMatrix(0, 0, []))
     hnf = hermite_normal_form(IntMatrix(2, 0, []))
-    assert (hnf.H, hnf.T) == (IntMatrix(2, 0, []), IntMatrix(0, 0, []))
+    assert (hnf.H, replayed_hermite_transform(hnf)) == (IntMatrix(2, 0, []), IntMatrix(0, 0, []))
     assert IntMatrix(0, 2, []) * IntMatrix.identity(2) == IntMatrix(0, 2, [])
     assert IntMatrix(2, 0, []) * IntMatrix(0, 3, []) == IntMatrix.zero(2, 3)
 
@@ -494,8 +531,9 @@ def test_smith_row_transform_spans_the_smith_lattice(m):
     """U*M*V == S for a unimodular V exactly when U*M and S span the same
     column lattice; the column HNF is that lattice's canonical basis."""
     snf = smith_normal_form(m)
-    assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
-    assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)
+    u, uinv = replayed_smith_transforms(snf)
+    assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+    assert u * uinv == IntMatrix.identity(m.rows)
 
 
 @st.composite
@@ -530,12 +568,33 @@ def assert_smith_matches_reference(m):
     elimination pivots in another order, so U and U⁻¹ may differ from
     the reference's; they are checked by what makes them valid: U·U⁻¹
     is the identity (so U is unimodular), and U·M spans the column
-    lattice of S (so U·M·V == S for a unimodular V)."""
+    lattice of S (so U·M·V == S for a unimodular V).  U and U⁻¹ are
+    replayed in full from the log, and the backward walk of that log
+    gives the same vectors: over the identity, U's rows and U⁻¹'s
+    columns; over the kept unit vectors (factor d_r != 1), U's rows mod
+    d_r, each entry left below d_r in size; through Cokernel, when
+    finite, its projection rows and generator lifts."""
     _, s, _ = smith_normal_form_reference(m)
     snf = smith_normal_form(m)
     assert snf.S == s
-    assert snf.U * snf.Uinv == IntMatrix.identity(m.rows)  # replayed on this first read
-    assert hermite_normal_form(snf.U * m).H == hermite_normal_form(snf.S).H
+    u, uinv = replayed_smith_transforms(snf)
+    assert u * uinv == IntMatrix.identity(m.rows)
+    assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+    n = m.rows
+    assert _walk_log(snf._row_ops, IntMatrix.identity(n).to_rows()) == [u.col(i) for i in range(n)]
+    assert _walk_log(snf._row_ops, IntMatrix.identity(n).to_rows(), inverse=True) == uinv.to_rows()
+    factors = snf.invariant_factors()
+    kept = [r for r, d in enumerate(factors) if d != 1]
+    moduli = [factors[r] for r in kept]
+    units = [[int(i == r) for r in kept] for i in range(n)]
+    w = _walk_log(snf._row_ops, units, moduli=moduli)
+    assert all(abs(x) < d for v in w for x, d in zip(v, moduli))
+    rows = [[x % d for x in u.row(r)] for r, d in zip(kept, moduli)]
+    assert [[v[c] % d for v in w] for c, d in enumerate(moduli)] == rows
+    if len(factors) == n:  # finite cokernel
+        coker = Cokernel(m)
+        assert coker._rows == rows
+        assert coker.generator_lifts() == [uinv.col(r) for r in kept]
 
 
 @PROPERTY
@@ -545,10 +604,12 @@ def assert_smith_matches_reference(m):
 @example(IntMatrix.from_rows([[2, 0], [0, 3]], 2))  # unit-free, needs the repair
 @example(IntMatrix.from_rows([[-4, 6], [6, -9]], 2))  # negative pivots, rank 1
 @example(IntMatrix.from_rows([[0, 0, 0], [0, -6, 4]], 3))  # zero row, wide
+@example(IntMatrix.from_rows([[2, 1], [1, 1]], 2))  # k = 0: a trivial cokernel
 @given(st.one_of(smith_inputs(), sparse_inputs()))
 def test_smith_form_matches_eager_reference(m):
-    """The sparse elimination gives the eager reference's S, and valid
-    transforms replayed from its log."""
+    """The sparse elimination gives the eager reference's S, valid
+    transforms replayed from its log, and the same vectors walked
+    backwards through it."""
     assert_smith_matches_reference(m)
 
 
@@ -596,11 +657,37 @@ def test_smith_elimination_limits_fill_on_the_symmetric_firing_matrix(monkeypatc
     assert len(snf._row_ops) <= 20099 // 2
 
 
+def test_trivial_cokernel_walks_nothing(monkeypatch):
+    """k = 0: a trivial group's rows, lifts and projections are empty,
+    and no op log is walked for them."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked an op log for a trivial group")
+
+    monkeypatch.setattr(abelian, "_walk_log", no_walk)
+    coker = Cokernel(IntMatrix.from_rows([[2, 1], [1, 1]], 2))
+    assert (coker.moduli, coker.generator_lifts(), coker.project([5, -3])) == ((), [], ())
+
+
+def assert_hermite_matches_reference(m):
+    """H and T, replayed in full from the column-op log, equal the eager
+    reference's entry for entry.  The backward walk of the log over the
+    identity gives T, and integer_kernel and solve_in_column_span read
+    T's columns through it."""
+    hnf = hermite_normal_form(m)
+    h, t = hermite_normal_form_reference(m)
+    assert (hnf.H, replayed_hermite_transform(hnf)) == (h, t)
+    assert _walk_log(hnf._col_ops, IntMatrix.identity(m.cols).to_rows()) == t.to_rows()
+    rank = len(hnf.pivots())
+    assert integer_kernel(m) == IntMatrix.from_cols([t.col(j) for j in range(rank, m.cols)], m.cols)
+    vec = m.apply([j + 1 for j in range(m.cols)])
+    y = Lattice(m).hermite_coords(vec)
+    assert solve_in_column_span(m, vec) == t.apply(y + [0] * (m.cols - rank))
+
+
 @pytest.mark.parametrize("family", FAMILY_GRAPHS)
 def test_hermite_form_of_family_laplacians_matches_eager_reference(family):
-    m = reduced_laplacian(FAMILY_GRAPHS[family](), 0)
-    hnf = hermite_normal_form(m)
-    assert (hnf.H, hnf.T) == hermite_normal_form_reference(m)
+    assert_hermite_matches_reference(reduced_laplacian(FAMILY_GRAPHS[family](), 0))
 
 
 @PROPERTY
@@ -611,12 +698,9 @@ def test_hermite_form_of_family_laplacians_matches_eager_reference(family):
 @example(IntMatrix.from_rows([[4, 6], [6, 9], [2, 3]], 2))  # rank 1, tall
 @given(smith_inputs())
 def test_hermite_form_matches_eager_reference(m):
-    """The logged elimination and the transform replayed from its log
-    are identical, entry for entry, to the eager reference."""
-    hnf = hermite_normal_form(m)
-    h, t = hermite_normal_form_reference(m)
-    assert hnf.H == h
-    assert hnf.T == t  # replayed on this first read
+    """The logged elimination and the transform replayed or walked from
+    its log are identical, entry for entry, to the eager reference."""
+    assert_hermite_matches_reference(m)
 
 
 @st.composite

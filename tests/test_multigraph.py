@@ -11,7 +11,6 @@ from critgroups.intmatrix import IntMatrix, det_bareiss
 from critgroups.multigraph import (
     DisconnectedGraphError,
     Multigraph,
-    adjacency_matrix,
     laplacian,
     reduced_laplacian,
     spanning_tree_count,
@@ -29,6 +28,18 @@ def random_connected(rng, max_extra=4):
         v = rng.randrange(n)
         edges.append((u, v))  # may create loops and parallels
     return Multigraph.from_edges(n, edges)
+
+
+def adjacency_matrix(g):
+    """Reference for the Laplacian: the symmetric matrix of parallel-edge
+    counts, loops excluded."""
+    n = g.vertex_count
+    a = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            a[u][v] += 1
+            a[v][u] += 1
+    return IntMatrix.from_rows(a, n)
 
 
 def test_adjacency_examples():
