@@ -16,15 +16,21 @@ from .intmatrix import IntMatrix, Lattice, _walk_log, int_tuple, smith_normal_fo
 
 
 def _factorint(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division over 2, 3 and 6k ± 1."""
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
+    p = 5
+    while p * p <= n:
+        for q in (p, p + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        p += 6
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
@@ -32,30 +38,30 @@ def canonical_chain(moduli: Sequence[int]) -> tuple[int, ...]:
     """Refold arbitrary cyclic moduli into the invariant-factor chain.
 
     Splits each modulus into prime powers and regroups them so that the
-    result satisfies d1 | d2 | ... with no factor equal to 1.
+    result satisfies d1 | d2 | ... with no factor equal to 1.  Each prime
+    is found once: a modulus is first divided by the primes of the earlier
+    moduli, and only what is left is trial-divided.
     """
     powers: dict[int, list[int]] = {}
     for m in int_tuple(moduli, "cyclic modulus"):
-        if m < 0:
-            m = -m
-        if m in (0,):
+        if m == 0:
             raise ValueError("infinite cyclic factor not supported")
-        if m == 1:
-            continue
+        m = abs(m)
+        for p, exps in powers.items():
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                exps.append(e)
         for p, e in _factorint(m).items():
             powers.setdefault(p, []).append(e)
-    if not powers:
-        return ()
-    depth = max(len(v) for v in powers.values())
-    factors = []
-    for slot in range(depth):
-        d = 1
-        for p, exps in powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                d *= p ** exps_sorted[slot]
-        factors.append(d)
-    factors.reverse()  # largest slot holds the biggest factor
+    depth = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * depth
+    for p, exps in powers.items():
+        # the largest exponents go to the last slots, so d1 | d2 | ...
+        for slot, e in enumerate(sorted(exps), depth - len(exps)):
+            factors[slot] *= p**e
     return tuple(factors)
 
 

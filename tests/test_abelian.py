@@ -2,12 +2,13 @@
 kernels, all against structure-preserving oracles."""
 
 import random
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgroups import abelian
 from critgroups.abelian import (
     Cokernel,
     FinAbGroup,
@@ -45,7 +46,7 @@ def test_canonical_chain_is_isomorphism_invariant():
         for a, b in zip(chain, chain[1:]):
             assert b % a == 0
         assert all(d >= 2 for d in chain)
-        assert prod(chain) if chain else 1 == prod(moduli) if moduli else 1
+        assert prod(chain) == prod(moduli)
         for p in primes_upto(61):
             k = 1
             while p**k <= prod(moduli or [1]):
@@ -60,6 +61,77 @@ def test_canonical_chain_examples():
     assert canonical_chain([160, 30, 5]) == (5, 10, 480)
     assert canonical_chain([]) == ()
     assert canonical_chain([1, 1]) == ()
+
+
+def refolded_chain(moduli):
+    """Invariant-factor chain by pairwise (gcd, lcm) refolding, with no
+    factoring: after round i, d[i] divides every later d[j], and each
+    swap keeps every prime's multiset of exponents."""
+    d = [abs(m) for m in moduli]
+    if 0 in d:
+        raise ValueError("infinite cyclic factor")
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(m for m in d if m != 1)
+
+
+# small primes, and primes of 17 to 20 bits that several moduli share
+CHAIN_PRIMES = (2, 3, 5, 7, 11, 13, 65537, 131101, 786433, 1048573)
+
+
+@st.composite
+def shared_prime_moduli(draw):
+    pool = draw(st.lists(st.sampled_from(CHAIN_PRIMES), min_size=1, max_size=4, unique=True))
+    exponents = st.lists(st.integers(0, 2), min_size=len(pool), max_size=len(pool))
+    moduli = [
+        draw(st.sampled_from((1, -1))) * prod(p**e for p, e in zip(pool, draw(exponents)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    if draw(st.booleans()):  # already a chain
+        moduli = list(refolded_chain(moduli))
+    return moduli
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(shared_prime_moduli(), st.data())
+def test_canonical_chain_matches_gcd_lcm_refold(moduli, data):
+    assert canonical_chain(moduli) == refolded_chain(moduli)
+    at = data.draw(st.integers(0, len(moduli)))
+    with pytest.raises(ValueError):
+        canonical_chain(moduli[:at] + [0] + moduli[at:])
+
+
+def test_canonical_chain_finds_each_prime_once(monkeypatch):
+    """A prime met in an earlier modulus is divided out, not searched for
+    again: only the new prime r is left to trial division."""
+    p, q, r = 65537, 1048573, 786433
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return factorint(n)
+
+    factorint = abelian._factorint
+    monkeypatch.setattr(abelian, "_factorint", recording)
+    assert canonical_chain((p * q, p * q * r)) == (p * q, p * q * r)
+    assert seen == [p * q, r]
+
+
+def test_factorint_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    squares_and_cubes = [p**k for p in (5, 7, 11, 13, 17, 19) for k in (2, 3)]
+    smooth = [2**a * 3**b for a in range(40) for b in range(40)]
+    rng = random.Random(11)
+    composites = []
+    while len(composites) < 20:
+        n = 1
+        while n.bit_length() < 30:
+            n *= sympy.prevprime(rng.randrange(3, 2**20 + 1))
+        if n.bit_length() <= 45:
+            composites.append(n)
+    for n in [*range(1, 5000), *squares_and_cubes, *smooth, *composites]:
+        assert abelian._factorint(n) == sympy.factorint(n), n
 
 
 def test_is_isomorphic():
