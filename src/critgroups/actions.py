@@ -240,36 +240,25 @@ class OrbitLabeling:
         return sum(1 for orb in self.pinned if orb.flipped)
 
 
-def _ref1(i: int, n: int) -> int:
-    # 0-based image of the 1-based rule i -> n+1-i
-    return (n - 1 - i) % n
-
-
-def _ref2(i: int, n: int) -> int:
-    # i -> n+2-i
-    return (n - i) % n
-
-
-def _ref3(i: int, n: int) -> int:
-    # i -> n+3-i
-    return (n + 1 - i) % n
+def _reflect(i: int, n: int, c: int) -> int:
+    """0-based image of the 1-based index reflection i -> n+c-i."""
+    return (n + c - 2 - i) % n
 
 
 def _verify_labeling(r1: Perm, r2: Perm, lab: OrbitLabeling) -> None:
+    """Raise AssertionError unless r1 and r2 act on every labeled row by
+    the reflections of the ``OrbitLabeling`` table: c = 1 for r1 and 2
+    for r2, one more on a flipped row."""
     n = lab.n
-    for orb in lab.free:
-        xs, ys = orb.xrow, orb.yrow
-        for i in range(n):
-            assert r1[xs[i]] == ys[_ref1(i, n)], "r1 x-strand equation"
-            assert r1[ys[i]] == xs[_ref1(i, n)], "r1 y-strand equation"
-            assert r2[xs[i]] == ys[_ref2(i, n)], "r2 x-strand equation"
-            assert r2[ys[i]] == xs[_ref2(i, n)], "r2 y-strand equation"
-    for orb in lab.pinned:
-        zs = orb.row
-        a, b = (_ref2, _ref3) if orb.flipped else (_ref1, _ref2)
-        for i in range(n):
-            assert r1[zs[i]] == zs[a(i, n)], "r1 pinned equation"
-            assert r2[zs[i]] == zs[b(i, n)], "r2 pinned equation"
+    for c, r in ((1, r1), (2, r2)):
+        for orb in lab.free:
+            for a, b in ((orb.xrow, orb.yrow), (orb.yrow, orb.xrow)):
+                if any(r[a[i]] != b[_reflect(i, n, c)] for i in range(n)):
+                    raise AssertionError(f"r{c} free strand equation")
+        for orb in lab.pinned:
+            zs = orb.row
+            if any(r[zs[i]] != zs[_reflect(i, n, c + orb.flipped)] for i in range(n)):
+                raise AssertionError(f"r{c} pinned equation")
 
 
 def classify_dihedral_orbits(
@@ -363,7 +352,7 @@ def _attempt_labeling(
         if len(orb) != 2 * n:
             continue
         xs = walk(rotate(min(orb)))
-        ys = tuple(r1[xs[_ref1(k, n)]] for k in range(n))
+        ys = tuple(r1[xs[_reflect(k, n, 1)]] for k in range(n))
         if set(xs) | set(ys) != set(orb) or set(xs) & set(ys):
             raise LabelingImpossibleError("free orbit does not split into strands")
         free.append(FreeOrbit(xrow=xs, yrow=ys))

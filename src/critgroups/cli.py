@@ -163,9 +163,6 @@ def cmd_family(args) -> int:
     except NonHarmonicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONHARMONIC
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -37,9 +37,7 @@ from .abelian import (
 from .actions import (
     DihedralAction,
     OrbitLabeling,
-    _ref1,
-    _ref2,
-    _ref3,
+    _reflect,
     classify_dihedral_orbits,
 )
 from .divisors import (
@@ -54,12 +52,15 @@ from .oracles import OracleRefused, brute_force_spanning_trees
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
 
-def weighted_total(labeling: OrbitLabeling, values: Sequence[int]) -> int:
-    """Sum over every labeled row (both strands of each free orbit and
-    each pinned row) of (1-based index) * value."""
+def _labeled_rows(labeling: OrbitLabeling) -> list[tuple[int, ...]]:
+    """Both strands of each free orbit, then each pinned row."""
     rows = [r for orb in labeling.free for r in (orb.xrow, orb.yrow)]
-    rows += [orb.row for orb in labeling.pinned]
-    return sum(i * values[v] for row in rows for i, v in enumerate(row, 1))
+    return rows + [orb.row for orb in labeling.pinned]
+
+
+def weighted_total(labeling: OrbitLabeling, values: Sequence[int]) -> int:
+    """Sum over every labeled row of (1-based index) * value."""
+    return sum(i * values[v] for row in _labeled_rows(labeling) for i, v in enumerate(row, 1))
 
 
 class DecompositionContext:
@@ -188,53 +189,29 @@ def _image_quotient(ctx: DecompositionContext, cols: int) -> Cokernel:
 def pullback_conditions(ctx: DecompositionContext, d: Sequence[int], i: int) -> bool:
     """Is d the pullback of a degree-zero divisor on quotient i?
 
-    Evaluated through the labeling equations (constancy along the
-    relevant sub-orbits plus parity at pinned seeds), not through the
-    quotient itself; the two routes are cross-checked in the tests.
+    Evaluated through the labeling equations, not through the quotient
+    itself; the two routes are cross-checked in the tests.  For the
+    rotation subgroup d must be constant on every labeled row.  For an
+    involution d must agree across each pair its index reflection swaps
+    (c = role, one more on a flipped row) and be even where that
+    reflection fixes a vertex, since a fixed vertex has horizontal
+    multiplicity 2.
     """
     vals = ctx._check_divisor(d)
     n = ctx.n
     lab = ctx.labeling
     role = ctx._role_of(i)
-
     if role == 3:
-        for orb in lab.free:
-            if len({vals[v] for v in orb.xrow}) > 1:
-                return False
-            if len({vals[v] for v in orb.yrow}) > 1:
-                return False
-        for orb in lab.pinned:
-            if len({vals[v] for v in orb.row}) > 1:
-                return False
-        return True
-
-    ref_free = _ref1 if role == 1 else _ref2
+        return all(len({vals[v] for v in row}) == 1 for row in _labeled_rows(lab))
     for orb in lab.free:
-        for k in range(n):
-            if vals[orb.xrow[k]] != vals[orb.yrow[ref_free(k, n)]]:
-                return False
+        if any(vals[orb.xrow[k]] != vals[orb.yrow[_reflect(k, n, role)]] for k in range(n)):
+            return False
     for orb in lab.pinned:
         zs = orb.row
-        if not orb.flipped:
-            ref = _ref1 if role == 1 else _ref2
-            for k in range(n):
-                if vals[zs[k]] != vals[zs[ref(k, n)]]:
-                    return False
-            if role == 1 and n % 2 == 1 and vals[zs[(n - 1) // 2]] % 2 != 0:
+        for k in range(n):
+            k2 = _reflect(k, n, role + orb.flipped)
+            if vals[zs[k]] != vals[zs[k2]] or (k2 == k and vals[zs[k]] % 2):
                 return False
-            if role == 2:
-                if vals[zs[0]] % 2 != 0:
-                    return False
-                if n % 2 == 0 and vals[zs[n // 2]] % 2 != 0:
-                    return False
-        else:
-            ref = _ref2 if role == 1 else _ref3
-            for k in range(n):
-                if vals[zs[k]] != vals[zs[ref(k, n)]]:
-                    return False
-            if role == 1:
-                if vals[zs[0]] % 2 != 0 or vals[zs[n // 2]] % 2 != 0:
-                    return False
     return True
 
 
@@ -390,7 +367,7 @@ def split_pair_sum(
             dy = [vals[v] for v in orb.yrow]
             px = list(accumulate(dx))
             xout = [px[i] - sum(dy[n - i :]) + a for i in range(n)]
-            yout = [xout[_ref1(i, n)] for i in range(n)]
+            yout = [xout[_reflect(i, n, 1)] for i in range(n)]
             return xout, yout
         b = 2 * offset if j == 0 and lab.t == 0 else 0
         dz = [vals[v] for v in orb.row]

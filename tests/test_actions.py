@@ -1,16 +1,22 @@
 """Permutation groups on multigraphs: generation, harmonicity,
 orbit/stabilizer bookkeeping, and the dihedral orbit labeling."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critgroups
 from critgroups.actions import (
     DihedralAction,
     LabelingImpossibleError,
     NonHarmonicError,
     NotAutomorphismError,
     OrbitSizeError,
+    _verify_labeling,
     check_automorphism,
     classify_dihedral_orbits,
     compose,
@@ -308,6 +314,49 @@ def test_labeling_with_rotated_seed_still_valid():
         for shift in (0, 1, 3):
             lab = classify_dihedral_orbits(g, act, seed_shift=shift)
             assert (lab.s, lab.t) == (1, 0)
+
+
+def test_labeling_self_check_rejects_swapped_generators():
+    """The two generators act by different reflections on every labeled
+    row, so the self-check accepts the labeled order and refuses the
+    other one at its first r1 equation."""
+    checked = 0
+    for g, act in _family_actions():
+        try:
+            lab = classify_dihedral_orbits(g, act)
+        except OrbitSizeError:
+            continue
+        r1, r2 = (act.sigma2, act.sigma1) if lab.generators_swapped else (act.sigma1, act.sigma2)
+        _verify_labeling(r1, r2, lab)
+        kind = "free strand" if lab.free else "pinned"
+        with pytest.raises(AssertionError, match=f"^r1 {kind} equation$"):
+            _verify_labeling(r2, r1, lab)
+        checked += 1
+    assert checked >= 20
+
+
+def test_labeling_self_check_survives_optimize():
+    """``python -O`` strips assert statements; the labeling self-check
+    must raise all the same."""
+    code = (
+        "from critgroups.actions import _verify_labeling, classify_dihedral_orbits\n"
+        "from critgroups.families import circulant\n"
+        "g, a = circulant(7, [1, 2])\n"
+        "try:\n"
+        "    _verify_labeling(a.sigma2, a.sigma1, classify_dihedral_orbits(g, a))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(critgroups.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "r1 pinned equation\n"
 
 
 def test_concentric_orbit_stabilizers():

@@ -206,6 +206,63 @@ def test_membership_agrees_with_lattice_oracle(name, ctx):
             )
 
 
+def doubled_rung_prism(n):
+    """Two n-cycles a_i = i and b_i = n + i joined by doubled rungs
+    a_i-b_i, under the reflections i -> -i and i -> 1 - i of both
+    cycles.  For even n the first fixes a_0, a_{n/2}, b_0 and b_{n/2},
+    so each rung there is fixed pointwise by a stabilizer of order 2 and
+    must be doubled to keep the action harmonic; the second fixes no
+    vertex.  Both size-n orbits are pinned the default way."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)] * 2
+    g = Multigraph.from_edges(2 * n, edges)
+    sigma1 = [(-i) % n for i in range(n)] + [n + (-i) % n for i in range(n)]
+    sigma2 = [(1 - i) % n for i in range(n)] + [n + (1 - i) % n for i in range(n)]
+    return g, actions.DihedralAction.build(g, sigma1, sigma2)
+
+
+FIXED_POINT_INSTANCES = {
+    "chained_copies(path,3)": lambda: chain("path", 3),
+    "chained_copies(path,4)": lambda: chain("path", 4),
+    "klein_example": klein_example,
+    "doubled_rung_prism(4)": lambda: doubled_rung_prism(4),
+    "doubled_rung_prism(6)": lambda: doubled_rung_prism(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINT_INSTANCES))
+def test_pullback_conditions_need_even_values_at_fixed_points(name):
+    """A vertex an involution fixes has horizontal multiplicity 2, so a
+    pullback through it is even there: for fixed u < v, e_u - e_v is no
+    pullback and 2(e_u - e_v) is one.  Random divisors almost never
+    probe these points, so each pair is tried here."""
+    ctx = ctx_for(FIXED_POINT_INSTANCES[name]())
+    nv = ctx.graph.vertex_count
+    pairs = 0
+    for i, sigma in ((1, ctx.action.sigma1), (2, ctx.action.sigma2)):
+        fixed = [v for v in range(nv) if sigma[v] == v]
+        for u in fixed:
+            for v in fixed:
+                if u >= v:
+                    continue
+                pairs += 1
+                for scale, expected in ((1, False), (2, True)):
+                    d = [0] * nv
+                    d[u], d[v] = scale, -scale
+                    assert is_pullback(ctx.quotient(i), d) == expected
+                    assert pullback_conditions(ctx, d, i) == expected, (i, u, v, scale)
+    assert pairs
+
+
+def test_prism_pins_both_rows_the_default_way():
+    for n in (4, 6):
+        ctx = ctx_for(doubled_rung_prism(n))
+        assert (ctx.s, ctx.t, ctx.flipped) == (2, 0, 0)
+        assert ctx.labeling.generators_swapped
+        assert run_all_checks(ctx, trials=10, seed=1).passed
+
+
 def test_membership_invariant_under_seed_rotation():
     rng = random.Random(77)
     for maker in (circulant(7, [1, 2]), concentric_polygon(4), klein_example()):

@@ -13,13 +13,15 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (88 runs):
-  * ``--format json compute`` on the 19 family graphs and the two
+The run set (92 runs):
+  * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
     of ``perfbench``, on ``klein``, ``circulant(7,[1,2])`` and ``intro``
-    (exit 4), on the two looped graphs, and on the 8- and 10-cycle with
-    edge-midpoint reflections (no pinned orbit): ``--format json verify
+    (exit 4), on ``chained_copies(path,4)`` (the only family whose
+    reflection classes are mixed at n >= 4, so its reports have no
+    closed form), on the two looped graphs, and on the 8- and 10-cycle
+    with edge-midpoint reflections (no pinned orbit): ``--format json verify
     --trials 25 --seed 7``, ``--format json verify --trials 150 --seed 7
     --oracle`` and text ``verify --trials 0 --oracle``;
   * ``--format json verify --trials 25 --seed 7`` on the top of the
@@ -58,6 +60,7 @@ FAMILIES = {
         for n in (5, 9, 11, 15, 51, 67)
     },
     "chained_copies(path,15)": ("chain", "--n", "15", "--base", "path"),
+    "chained_copies(path,4)": ("chain", "--n", "4", "--base", "path"),
     "circulant(21,[1,2,3])": ("circulant", "--n", "21", "--steps", "1,2,3"),
     "circulant(31,[1,2])": ("circulant", "--n", "31", "--steps", "1,2"),
     "circulant(128,[1,2])": ("circulant", "--n", "128", "--steps", "1,2"),
@@ -81,6 +84,7 @@ VERIFIED = (
     "klein",
     "circulant(7,[1,2])",
     "intro",
+    "chained_copies(path,4)",
     "looped_triangle",
     "looped_cycle4",
     "edge_reflected_cycle8",
