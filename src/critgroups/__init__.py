@@ -31,13 +31,10 @@ from .divisors import (
     apply_firing,
     critical_group,
     is_principal,
-    quotient_by_subgroup,
-    subgroup_generated,
 )
 from .intmatrix import (
     IntMatrix,
     hermite_normal_form,
-    integer_kernel,
     smith_normal_form,
 )
 from .multigraph import (

@@ -165,11 +165,12 @@ class DihedralAction:
         rho^k . sigma1 for 0 <= k < n."""
         s1 = check_automorphism(g, sigma1)
         s2 = check_automorphism(g, sigma2)
-        nv = g.vertex_count
-        if compose(s1, s1) != identity_perm(nv) or s1 == identity_perm(nv):
-            raise ValueError("sigma1 is not an involution")
-        if compose(s2, s2) != identity_perm(nv) or s2 == identity_perm(nv):
-            raise ValueError("sigma2 is not an involution")
+        ident = identity_perm(g.vertex_count)
+        for name, s in (("sigma1", s1), ("sigma2", s2)):
+            if s == ident:
+                raise ValueError(f"{name} is the identity")
+            if compose(s, s) != ident:
+                raise ValueError(f"{name} is not an involution: its square is not the identity")
         if s1 == s2:
             raise ValueError("sigma2 . sigma1 must have order at least 2")
         rotations = _powers(compose(s2, s1))
@@ -268,9 +269,13 @@ def classify_dihedral_orbits(
 
     Raises OrbitSizeError when an orbit has size other than n or 2n and
     LabelingImpossibleError when a size-n orbit is stabilized only by
-    rotations.  If every size-n orbit is pinned by the first generator,
-    the generator roles are swapped globally; a residual mix (possible
-    for even n) is recorded per orbit via ``flipped``.
+    rotations.  Each size-n orbit is seeded at a fixed point of sigma2,
+    else of sigma1 (flipped).  The point stabilizers of a size-n orbit
+    are conjugate reflections, so for odd n every such orbit holds a
+    fixed point of each generator and none is flipped; for even n each
+    holds fixed points of exactly one.  If every one is flipped, the
+    generator roles are swapped globally and the same seeds count as
+    unflipped; a residual mix is recorded per orbit via ``flipped``.
 
     ``seed_shift`` rotates every seed choice by that many rotation
     steps; the labeling equations hold for any shift, which the tests
@@ -286,28 +291,20 @@ def classify_dihedral_orbits(
                 f"expected {n} or {2 * n}"
             )
 
-    lab = _attempt_labeling(action.sigma1, action.sigma2, orbs, n, False, seed_shift)
-    if lab is None:
-        lab = _attempt_labeling(action.sigma2, action.sigma1, orbs, n, True, seed_shift)
-    if lab is None:
-        raise LabelingImpossibleError("no generator order yields a pinned seed")
-    r1, r2 = (
-        (action.sigma2, action.sigma1)
-        if lab.generators_swapped
-        else (action.sigma1, action.sigma2)
-    )
-    _verify_labeling(r1, r2, lab)
-    return lab
-
-
-def _attempt_labeling(
-    r1: Perm,
-    r2: Perm,
-    orbs: list[list[int]],
-    n: int,
-    swapped: bool,
-    seed_shift: int,
-) -> OrbitLabeling | None:
+    s1, s2 = action.sigma1, action.sigma2
+    seeds: list[tuple[int, bool]] = []
+    for orb in orbs:
+        if len(orb) != n:
+            continue
+        fixed2 = [v for v in orb if s2[v] == v]
+        candidates = fixed2 or [v for v in orb if s1[v] == v]
+        if not candidates:
+            raise LabelingImpossibleError(
+                "size-n orbit has rotation-only point stabilizers"
+            )
+        seeds.append((candidates[seed_shift % len(candidates)], not fixed2))
+    swapped = bool(seeds) and all(f for _, f in seeds)
+    r1, r2 = (s2, s1) if swapped else (s1, s2)
     rho = compose(r2, r1)
 
     def walk(seed: int) -> tuple[int, ...]:
@@ -318,47 +315,23 @@ def _attempt_labeling(
             raise LabelingImpossibleError("rotation does not act freely on orbit")
         return tuple(row)
 
-    # Seed each size-n orbit at a fixed point of r2; fall back to a fixed
-    # point of r1 (a flipped orbit, even n only).
-    pinned_seeds: list[tuple[int, bool]] = []
-    for orb in orbs:
-        if len(orb) != n:
-            continue
-        fixed2 = sorted(v for v in orb if r2[v] == v)
-        fixed1 = sorted(v for v in orb if r1[v] == v)
-        if fixed2:
-            candidates, flipped = fixed2, False
-        elif fixed1:
-            candidates, flipped = fixed1, True
-        else:
-            raise LabelingImpossibleError(
-                "size-n orbit has rotation-only point stabilizers"
-            )
-        pinned_seeds.append((candidates[seed_shift % len(candidates)], flipped))
-    if not swapped and pinned_seeds and all(f for _, f in pinned_seeds):
-        # Every pinned orbit prefers the other generator order: swap
-        # globally instead of flipping them all.
-        return None
-
-    pinned = [PinnedOrbit(row=walk(seed), flipped=f) for seed, f in pinned_seeds]
-
-    def rotate(seed: int) -> int:
-        for _ in range(seed_shift % n):
-            seed = rho[seed]
-        return seed
-
+    pinned = [PinnedOrbit(row=walk(seed), flipped=f and not swapped) for seed, f in seeds]
+    k = seed_shift % n
     free: list[FreeOrbit] = []
     for orb in orbs:
         if len(orb) != 2 * n:
             continue
-        xs = walk(rotate(min(orb)))
-        ys = tuple(r1[xs[_reflect(k, n, 1)]] for k in range(n))
+        xs = walk(min(orb))
+        xs = xs[k:] + xs[:k]
+        ys = tuple(r1[xs[_reflect(i, n, 1)]] for i in range(n))
         if set(xs) | set(ys) != set(orb) or set(xs) & set(ys):
             raise LabelingImpossibleError("free orbit does not split into strands")
         free.append(FreeOrbit(xrow=xs, yrow=ys))
 
     pinned.sort(key=lambda o: min(o.row))
     free.sort(key=lambda o: min(min(o.xrow), min(o.yrow)))
-    return OrbitLabeling(
+    lab = OrbitLabeling(
         n=n, pinned=tuple(pinned), free=tuple(free), generators_swapped=swapped
     )
+    _verify_labeling(r1, r2, lab)
+    return lab

@@ -87,11 +87,12 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     try:
         ctx = DecompositionContext(g, action)
+        ctx.labeling  # read here, so that a labeling error is caught
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
     except (OrbitSizeError, LabelingImpossibleError) as exc:
-        _report_labeling_failure(g, action, exc, args.format)
+        _report_labeling_failure(ctx, exc, args.format)
         return EXIT_LABELING
     except NonHarmonicError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -107,16 +108,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _report_labeling_failure(g, action, exc, fmt) -> None:
-    """Labeling rejections still carry a direct-computation certificate:
-    the product of the quotient group orders against the group order."""
-    from .quotients import quotient_graph
-
-    cg = critical_group(g)
-    orders = []
-    for gens in ([action.sigma1], [action.sigma2], [action.rotation]):
-        q = quotient_graph(g, gens)
-        orders.append(critical_group(q.quotient).group.order)
+def _report_labeling_failure(ctx, exc, fmt) -> None:
+    """Labeling rejections still carry a direct-computation certificate,
+    read off the context's groups: the product of the quotient group
+    orders against the group order."""
+    cg = ctx.cg
+    orders = [cgq.group.order for cgq in ctx.cg_h]
     prod = orders[0] * orders[1] * orders[2]
     divides = cg.group.order % prod == 0
     doc = {

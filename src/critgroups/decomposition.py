@@ -69,17 +69,25 @@ class DecompositionContext:
     def __init__(self, g: Multigraph, action: DihedralAction, seed_shift: int = 0):
         self.graph = g
         self.action = action
-        self.cg = critical_group(g)  # a disconnected graph stops here, before the labeling
-        self.labeling = classify_dihedral_orbits(g, action, seed_shift=seed_shift)
+        self.seed_shift = seed_shift
         self.n = action.n
+        self.cg = critical_group(g)  # a disconnected graph stops here
+        # A non-harmonic action stops at qhat.  A subgroup's pair
+        # stabilizers divide the group's, so q1, q2 and q3 cannot fail.
+        self.qhat = quotient_graph(g, [action.sigma1, action.sigma2])
         self.q1 = quotient_graph(g, [action.sigma1])
         self.q2 = quotient_graph(g, [action.sigma2])
         self.q3 = quotient_graph(g, [action.rotation])
-        self.qhat = quotient_graph(g, [action.sigma1, action.sigma2])
         self.cg_h = tuple(
             critical_group(q.quotient) for q in (self.q1, self.q2, self.q3)
         )
         self.cg_hat = critical_group(self.qhat.quotient)
+
+    @cached_property
+    def labeling(self) -> OrbitLabeling:
+        """The orbit labeling; its first read raises OrbitSizeError or
+        LabelingImpossibleError where there is none."""
+        return classify_dihedral_orbits(self.graph, self.action, seed_shift=self.seed_shift)
 
     # -- quotient plumbing ------------------------------------------------
 

@@ -261,6 +261,21 @@ def test_written_down_dihedral_group_matches_its_closure():
         DihedralAction.build(cycle(6), refl, refl)
 
 
+def test_build_names_the_fault_it_found():
+    """An identity generator and one whose square is not the identity are
+    refused with different messages."""
+    c6 = cycle(6)
+    rot = [(i + 1) % 6 for i in range(6)]
+    refl = [(6 - i) % 6 for i in range(6)]
+    ident = list(range(6))
+    with pytest.raises(ValueError, match="^sigma1 is the identity$"):
+        DihedralAction.build(c6, ident, refl)
+    with pytest.raises(ValueError, match="^sigma2 is the identity$"):
+        DihedralAction.build(c6, refl, ident)
+    with pytest.raises(ValueError, match="^sigma1 is not an involution: its square"):
+        DihedralAction.build(c6, rot, refl)
+
+
 def test_dihedral_element_structure():
     g, act = circulant(7, [1, 2])
     rho = act.rotation
@@ -314,6 +329,34 @@ def test_labeling_with_rotated_seed_still_valid():
         for shift in (0, 1, 3):
             lab = classify_dihedral_orbits(g, act, seed_shift=shift)
             assert (lab.s, lab.t) == (1, 0)
+
+
+def test_generator_order_is_read_off_the_pinned_orbits():
+    """The point stabilizers of a size-n orbit are conjugate reflections.
+    For even n no size-n orbit holds a fixed point of both generators,
+    for odd n every one holds a fixed point of each, and the roles are
+    swapped exactly when size-n orbits exist and none holds a
+    sigma2-fixed point.  Checked on every family action and its twin
+    with the generators exchanged."""
+    labeled = swapped = 0
+    for g, act in _family_actions():
+        for a in (act, DihedralAction.build(g, act.sigma2, act.sigma1)):
+            size_n = [orb for orb in orbits(a.elements, g.vertex_count) if len(orb) == a.n]
+            holds1 = [any(a.sigma1[v] == v for v in orb) for orb in size_n]
+            holds2 = [any(a.sigma2[v] == v for v in orb) for orb in size_n]
+            if a.n % 2 == 0:
+                assert not any(h1 and h2 for h1, h2 in zip(holds1, holds2))
+            else:
+                assert all(holds1) and all(holds2)
+            for shift in range(4):
+                try:
+                    lab = classify_dihedral_orbits(g, a, seed_shift=shift)
+                except OrbitSizeError:
+                    break
+                assert lab.generators_swapped == (bool(size_n) and not any(holds2))
+                labeled += 1
+                swapped += lab.generators_swapped
+    assert labeled >= 150 and swapped >= 10
 
 
 def test_labeling_self_check_rejects_swapped_generators():

@@ -6,6 +6,7 @@ import pytest
 
 from critgroups.cli import main
 from critgroups.decomposition import DecompositionContext, run_all_checks
+from critgroups.divisors import CriticalGroupData
 from critgroups.families import circulant, intro_counterexample, klein_example
 from critgroups.jsonio import graph_from_json, graph_to_json
 
@@ -218,6 +219,54 @@ def test_verify_intro_exit_4_with_certificate(capsys, tmp_path):
     assert doc["product_divides_group_order"] is False
 
 
+def test_verify_labeling_certificate_builds_the_group_once(capsys, tmp_path, monkeypatch):
+    """The exit-4 certificate reads the groups the decomposition context
+    already built: the critical group of the 5-vertex intro graph is
+    computed once, and the certificate is the same."""
+    path = write_family(capsys, tmp_path, "intro")
+    built = []
+    init = CriticalGroupData.__init__
+
+    def counting_init(self, graph):
+        built.append(graph.vertex_count)
+        init(self, graph)
+
+    monkeypatch.setattr(CriticalGroupData, "__init__", counting_init)
+    code, out, _ = run(capsys, "--format", "json", "verify", str(path))
+    assert code == 4
+    assert built.count(5) == 1
+    assert json.loads(out) == {
+        "error": "orbit ['v1'] has size 1, expected 3 or 6",
+        "group_order": 192,
+        "product_divides_group_order": False,
+        "quotient_order_product": 576,
+    }
+
+
+# K_{2,6}: hubs x1, x2 and rim a1, a2, b1, b2, c1, c2.  Both involutions
+# swap c1 and c2, so that orbit is stabilized by the rotation alone.
+ROTATION_STABILIZED_PAIR = {
+    "vertices": ["x1", "x2", "a1", "a2", "b1", "b2", "c1", "c2"],
+    "edges": [[x, r] for x in ("x1", "x2") for r in ("a1", "a2", "b1", "b2", "c1", "c2")],
+    "actions": {
+        "sigma1": {"x1": "x2", "x2": "x1", "c1": "c2", "c2": "c1", "a1": "a1", "a2": "a2", "b1": "b1", "b2": "b2"},
+        "sigma2": {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2", "c1": "c2", "c2": "c1", "x1": "x1", "x2": "x2"},
+    },
+}
+
+
+def test_verify_labeling_impossible_exit_4_with_certificate(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(ROTATION_STABILIZED_PAIR))
+    code, out, err = run(capsys, "--format", "json", "verify", str(path))
+    assert (code, err) == (4, "")
+    doc = json.loads(out)
+    assert doc["error"] == "size-n orbit has rotation-only point stabilizers"
+    assert doc["group_order"] == 192
+    assert doc["quotient_order_product"] == 96
+    assert doc["product_divides_group_order"] is True
+
+
 def test_verify_oracle_flag(capsys, tmp_path):
     path = write_family(capsys, tmp_path, "klein")
     code, out, _ = run(
@@ -258,6 +307,14 @@ def test_family_shapes(capsys):
 def test_family_errors(capsys):
     assert run(capsys, "family", "circulant", "--n", "4", "--steps", "2")[0] == 2
     assert run(capsys, "family", "chain")[0] == 2
+
+
+def test_family_chain_of_two_edges_names_the_identity(capsys):
+    """Two copies of an edge close into a digon, where the second
+    copy-reversal is the identity; the error says so."""
+    code, out, err = run(capsys, "family", "chain", "--n", "2", "--base", "edge")
+    assert (code, out) == (2, "")
+    assert err == "error: sigma2 is the identity\n"
 
 
 def test_graph_json_round_trip():

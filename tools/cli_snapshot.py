@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (92 runs):
+The run set (94 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -38,6 +38,10 @@ The run set (92 runs):
     (exit 2), and the two triangles a-b-c and d-e-f under
     (a d)(b e)(c f) and (a d)(b f)(c e), disconnected and with no orbit
     labeling (exit 3);
+  * ``--format json verify`` and text ``verify`` on K_{2,6} with hubs
+    x1, x2 and rim a1, a2, b1, b2, c1, c2 under (x1 x2)(c1 c2) and
+    (a1 b1)(a2 b2)(c1 c2), whose orbit {c1, c2} is stabilized by the
+    rotation only, so it has no orbit labeling (exit 4);
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
 
 Stdlib only.
@@ -165,6 +169,14 @@ WRITTEN = {
             "sigma2": {"a": "d", "b": "f", "c": "e", "d": "a", "e": "c", "f": "b"},
         },
     },
+    "rotation_stabilized_pair": {
+        "vertices": ["x1", "x2", "a1", "a2", "b1", "b2", "c1", "c2"],
+        "edges": [[x, r] for x in ("x1", "x2") for r in ("a1", "a2", "b1", "b2", "c1", "c2")],
+        "actions": {
+            "sigma1": {"x1": "x2", "x2": "x1", "c1": "c2", "c2": "c1", "a1": "a1", "a2": "a2", "b1": "b1", "b2": "b2"},
+            "sigma2": {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2", "c1": "c2", "c2": "c1", "x1": "x1", "x2": "x2"},
+        },
+    },
 }
 
 REJECTED = ("star_nonharmonic", "path_not_automorphism", "two_triangles")
@@ -191,6 +203,8 @@ def run_set() -> list[tuple[str, ...]]:
         runs.append(("compute", file_name(name)))
     for name in REJECTED:
         runs.append(("--format", "json", "verify", file_name(name)))
+    f = file_name("rotation_stabilized_pair")
+    runs += [("--format", "json", "verify", f), ("verify", f)]
     runs += [("--help",), ("compute", "--help"), ("verify", "--help"), ("family", "--help")]
     return runs
 
