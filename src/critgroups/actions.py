@@ -262,26 +262,21 @@ def _verify_labeling(r1: Perm, r2: Perm, lab: OrbitLabeling) -> None:
                 raise AssertionError(f"r{c} pinned equation")
 
 
-def classify_dihedral_orbits(
-    g: Multigraph, action: DihedralAction, seed_shift: int = 0
-) -> OrbitLabeling:
-    """Canonical orbit labeling for a harmonic dihedral action.
+def classify_dihedral_orbits(g: Multigraph, action: DihedralAction) -> OrbitLabeling:
+    """Canonical orbit labeling for a dihedral action.
 
     Raises OrbitSizeError when an orbit has size other than n or 2n and
     LabelingImpossibleError when a size-n orbit is stabilized only by
-    rotations.  Each size-n orbit is seeded at a fixed point of sigma2,
-    else of sigma1 (flipped).  The point stabilizers of a size-n orbit
-    are conjugate reflections, so for odd n every such orbit holds a
-    fixed point of each generator and none is flipped; for even n each
-    holds fixed points of exactly one.  If every one is flipped, the
-    generator roles are swapped globally and the same seeds count as
-    unflipped; a residual mix is recorded per orbit via ``flipped``.
-
-    ``seed_shift`` rotates every seed choice by that many rotation
-    steps; the labeling equations hold for any shift, which the tests
-    exploit.
+    rotations.  Each size-n orbit is seeded at its least fixed point of
+    sigma2, else of sigma1 (flipped); each free orbit's x strand starts
+    at its least vertex.  The point stabilizers of a size-n orbit are
+    conjugate reflections, so for odd n every such orbit holds a fixed
+    point of each generator and none is flipped; for even n each holds
+    fixed points of exactly one.  If every one is flipped, the generator
+    roles are swapped globally and the same seeds count as unflipped; a
+    residual mix is recorded per orbit via ``flipped``.  Only orbits and
+    fixed points are read: harmonicity is checked by the quotients.
     """
-    require_harmonic(g, action.elements)
     n = action.n
     orbs = orbits(action.elements, g.vertex_count)
     for orb in orbs:
@@ -302,7 +297,7 @@ def classify_dihedral_orbits(
             raise LabelingImpossibleError(
                 "size-n orbit has rotation-only point stabilizers"
             )
-        seeds.append((candidates[seed_shift % len(candidates)], not fixed2))
+        seeds.append((candidates[0], not fixed2))
     swapped = bool(seeds) and all(f for _, f in seeds)
     r1, r2 = (s2, s1) if swapped else (s1, s2)
     rho = compose(r2, r1)
@@ -316,13 +311,11 @@ def classify_dihedral_orbits(
         return tuple(row)
 
     pinned = [PinnedOrbit(row=walk(seed), flipped=f and not swapped) for seed, f in seeds]
-    k = seed_shift % n
     free: list[FreeOrbit] = []
     for orb in orbs:
         if len(orb) != 2 * n:
             continue
         xs = walk(min(orb))
-        xs = xs[k:] + xs[:k]
         ys = tuple(r1[xs[_reflect(i, n, 1)]] for i in range(n))
         if set(xs) | set(ys) != set(orb) or set(xs) & set(ys):
             raise LabelingImpossibleError("free orbit does not split into strands")

@@ -46,7 +46,7 @@ from .divisors import (
     critical_group,
     is_principal,
 )
-from .intmatrix import IntMatrix, Lattice
+from .intmatrix import IntMatrix, Lattice, int_tuple
 from .multigraph import Multigraph, spanning_tree_count
 from .oracles import OracleRefused, brute_force_spanning_trees
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
@@ -66,10 +66,9 @@ def weighted_total(labeling: OrbitLabeling, values: Sequence[int]) -> int:
 class DecompositionContext:
     """A graph, its dihedral action, labeling, quotients, and groups."""
 
-    def __init__(self, g: Multigraph, action: DihedralAction, seed_shift: int = 0):
+    def __init__(self, g: Multigraph, action: DihedralAction):
         self.graph = g
         self.action = action
-        self.seed_shift = seed_shift
         self.n = action.n
         self.cg = critical_group(g)  # a disconnected graph stops here
         # A non-harmonic action stops at qhat.  A subgroup's pair
@@ -87,7 +86,7 @@ class DecompositionContext:
     def labeling(self) -> OrbitLabeling:
         """The orbit labeling; its first read raises OrbitSizeError or
         LabelingImpossibleError where there is none."""
-        return classify_dihedral_orbits(self.graph, self.action, seed_shift=self.seed_shift)
+        return classify_dihedral_orbits(self.graph, self.action)
 
     # -- quotient plumbing ------------------------------------------------
 
@@ -122,22 +121,8 @@ class DecompositionContext:
     def pair_pullback_generators(self) -> list[Divisor]:
         return [d for gens in self._pullback_generator_lists[:2] for d in gens]
 
-    # -- counts driving the predictions -----------------------------------
-
-    @property
-    def s(self) -> int:
-        return self.labeling.s
-
-    @property
-    def t(self) -> int:
-        return self.labeling.t
-
-    @property
-    def flipped(self) -> int:
-        return self.labeling.flipped_count
-
     def _check_divisor(self, d: Sequence[int]) -> list[int]:
-        vals = list(d)
+        vals = list(int_tuple(d, "chip count"))
         if len(vals) != self.graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
         if sum(vals) != 0:
@@ -269,8 +254,8 @@ def _triple_feasible(ctx: DecompositionContext, base: int, strand_excess: int) -
     """Parity on the flipped pinned orbits of a rotation correction
     making the pair conditions solvable, or None."""
     n = ctx.n
-    s_fl = ctx.flipped
-    s_df = ctx.s - s_fl
+    s_fl = ctx.labeling.flipped_count
+    s_df = ctx.labeling.s - s_fl
     for rho_fl in (0, 1) if s_fl else (0,):
         for rho_df in (0, 1) if s_df else (0,):
             if (base + (n // 2) * rho_fl) % n == 0 and (
@@ -465,12 +450,13 @@ def _extra_two_torsion(ctx: DecompositionContext) -> tuple[int, ...] | None:
 
     The closed forms cover odd n, no pinned orbits, all pinned orbits on
     the second-involution class, and the n = 2 mixed case."""
-    if ctx.n % 2 == 1 or ctx.s == 0:
+    lab = ctx.labeling
+    if ctx.n % 2 == 1 or lab.s == 0:
         return ()
-    if ctx.flipped and ctx.n != 2:
+    s_fl = lab.flipped_count
+    if s_fl and ctx.n != 2:
         return None
-    s_fl = ctx.flipped
-    s_df = ctx.s - s_fl
+    s_df = lab.s - s_fl
     return (2,) * (max(s_df - 1, 0) + max(s_fl - 1, 0))
 
 
@@ -565,7 +551,7 @@ def _verdict(
     if predicted is None:
         notes.append("mixed reflection classes with n >= 4: no closed form")
         return ok
-    if ctx.flipped:
+    if ctx.labeling.flipped_count:
         notes.append("prediction adjusted for mixed reflection classes")
     return ok and is_isomorphic(computed, predicted)
 
@@ -664,12 +650,12 @@ def check_divisor_class_quotient(ctx: DecompositionContext) -> CheckResult:
     notes: list[str] = []
     dp = ctx.divisor_quotient.group
     lq = laplacian_mod_symmetric_firings(ctx)
-    lq_expected = FinAbGroup((ctx.n,) * ctx.t)
+    lq_expected = FinAbGroup((ctx.n,) * ctx.labeling.t)
     lq_ok = is_isomorphic(lq, lq_expected)
     if not lq_ok:
         notes.append(f"firing quotient {lq.factors} != {lq_expected.factors}")
     extra = _extra_two_torsion(ctx)
-    predicted = None if extra is None else FinAbGroup((ctx.n,) * (ctx.t + 1) + extra)
+    predicted = None if extra is None else FinAbGroup((ctx.n,) * (ctx.labeling.t + 1) + extra)
     return CheckResult(
         name="divisor_class_quotient",
         passed=_verdict(ctx, lq_ok, dp, predicted, notes),
@@ -713,7 +699,7 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
                 "carries a |K(full quotient)|^2 factor"
             )
     else:
-        even_analogue = literal * 2 ** max(ctx.s - 1, 0)
+        even_analogue = literal * 2 ** max(ctx.labeling.s - 1, 0)
         notes.append(
             f"even order: n*prod = {literal} ({'==' if literal_ok else '!='} |K|); "
             f"2-power variant {even_analogue} flagged, not asserted"
@@ -924,9 +910,9 @@ def run_all_checks(
     return DecompositionReport(
         graph_name=graph_name,
         n=ctx.n,
-        s=ctx.s,
-        t=ctx.t,
-        flipped=ctx.flipped,
+        s=ctx.labeling.s,
+        t=ctx.labeling.t,
+        flipped=ctx.labeling.flipped_count,
         generators_swapped=ctx.labeling.generators_swapped,
         group=list(ctx.cg.group.factors),
         quotient_groups=[list(cgq.group.factors) for cgq in ctx.cg_h]

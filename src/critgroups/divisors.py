@@ -38,26 +38,8 @@ class Divisor:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
     def __iter__(self):
         return iter(self.values)
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        self._check_same_graph(other)
-        return Divisor(self.graph, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        self._check_same_graph(other)
-        return Divisor(self.graph, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(self.graph, tuple(-a for a in self.values))
-
-    def _check_same_graph(self, other: "Divisor") -> None:
-        if self.graph != other.graph:
-            raise ValueError("divisors live on different graphs")
 
     def to_json(self) -> dict:
         return {self.graph.label(v): x for v, x in enumerate(self.values) if x}
@@ -109,7 +91,7 @@ class CriticalGroupData:
         return self.group.factors
 
     def _dropped(self, d: Sequence[int]) -> list[int]:
-        vals = list(d)
+        vals = list(int_tuple(d, "chip count"))
         if len(vals) != self.graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
         if sum(vals) != 0:

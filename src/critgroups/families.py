@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .actions import DihedralAction, check_automorphism, require_harmonic
+from .actions import DihedralAction, check_automorphism, compose, identity_perm, require_harmonic
 from .intmatrix import int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph
 
@@ -68,11 +68,13 @@ def chained_copies(
     copy-reversing involutions (v, i) -> (phi(v), -i) and
     (v, i) -> (phi(v), 1 - i).
     """
+    a, b, n = int_tuple((a, b, n), "chain argument")
     if n < 2:
         raise ValueError("need at least two copies")
+    for v in (a, b):
+        if v not in range(base.vertex_count):
+            raise ValueError(f"gluing vertex {v} out of range 0..{base.vertex_count - 1}")
     perm = check_automorphism(base, phi)
-    from .actions import compose, identity_perm
-
     if compose(perm, perm) != identity_perm(base.vertex_count):
         raise ValueError("phi is not an involution")
     if a == b:

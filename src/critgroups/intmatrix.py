@@ -27,6 +27,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+        rows, cols = int_tuple((rows, cols), "matrix dimension")
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows}x{cols}")
         data = int_tuple(entries, "matrix entry")
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")

@@ -332,9 +332,10 @@ def test_criterion_2_klein_stated_kernel_and_quotient():
         sum(1 for orb in ({0, 1}, {2, 4}, {3, 5}) if all(s[v] == v for v in orb))
         for s in (s1, s2)
     ]
-    assert sorted(pinned) == [1, 2] and ctx.s == sum(pinned) == 3
-    assert sorted((ctx.flipped, ctx.s - ctx.flipped)) == sorted(pinned)
-    uniform = [2] * (ctx.s - 1), [ctx.n] + [2] * (ctx.s - 1)
+    lab = ctx.labeling
+    assert sorted(pinned) == [1, 2] and lab.s == sum(pinned) == 3
+    assert sorted((lab.flipped_count, lab.s - lab.flipped_count)) == sorted(pinned)
+    uniform = [2] * (lab.s - 1), [ctx.n] + [2] * (lab.s - 1)
     e_mixed = sum(max(c - 1, 0) for c in pinned)
     mixed = [2] * e_mixed, [ctx.n] + [2] * e_mixed
     stated_kernel, stated_quotient = [2, 2], [2, 2, 2]

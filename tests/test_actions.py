@@ -323,12 +323,37 @@ def test_labeling_impossible_for_rotation_stabilizer():
         classify_dihedral_orbits(g, act)
 
 
+def _relabeled_action(g, act, pi):
+    """The graph and dihedral action with each vertex v renamed pi[v]."""
+    g2, (s1, s2) = _relabel(g, [act.sigma1, act.sigma2], pi)
+    return g2, DihedralAction.build(g2, s1, s2)
+
+
 def test_labeling_with_rotated_seed_still_valid():
-    for n, steps in ((7, [1, 2]), (9, [1, 3])):
-        g, act = circulant(n, steps)
-        for shift in (0, 1, 3):
-            lab = classify_dihedral_orbits(g, act, seed_shift=shift)
-            assert (lab.s, lab.t) == (1, 0)
+    """Rotating the vertex indices by r makes vertex -r mod |V| the least,
+    so over all r every fixed point that could seed a size-n orbit seeds
+    it, and every vertex of a free orbit starts its x strand.  Each
+    labeling passes the self-check, and the orbit counts and the
+    generator order do not move."""
+    for g, act in (circulant(7, [1, 2]), circulant(9, [1, 3]), concentric_polygon(4),
+                   klein_example(), chained_copies(*CHAIN_BASES["path"], 4)):
+        base = classify_dihedral_orbits(g, act)
+        nv = g.vertex_count
+        seeds, starts = set(), set()
+        for r in range(nv):
+            pi = [(v + r) % nv for v in range(nv)]
+            lab = classify_dihedral_orbits(*_relabeled_action(g, act, pi))
+            shape = (lab.s, lab.t, lab.flipped_count, lab.generators_swapped)
+            assert shape == (base.s, base.t, base.flipped_count, base.generators_swapped)
+            seeds |= {(orb.row[0] - r) % nv for orb in lab.pinned}
+            starts |= {(orb.xrow[0] - r) % nv for orb in lab.free}
+        s1, s2 = act.sigma1, act.sigma2
+        candidates = set()
+        for orb in base.pinned:
+            fixed2 = {v for v in orb.row if s2[v] == v}
+            candidates |= fixed2 or {v for v in orb.row if s1[v] == v}
+        assert seeds == candidates
+        assert starts == {v for orb in base.free for v in orb.xrow + orb.yrow}
 
 
 def test_generator_order_is_read_off_the_pinned_orbits():
@@ -337,7 +362,9 @@ def test_generator_order_is_read_off_the_pinned_orbits():
     for odd n every one holds a fixed point of each, and the roles are
     swapped exactly when size-n orbits exist and none holds a
     sigma2-fixed point.  Checked on every family action and its twin
-    with the generators exchanged."""
+    with the generators exchanged, each as given and under three random
+    relabelings of its vertices."""
+    rng = random.Random(20)
     labeled = swapped = 0
     for g, act in _family_actions():
         for a in (act, DihedralAction.build(g, act.sigma2, act.sigma1)):
@@ -348,9 +375,12 @@ def test_generator_order_is_read_off_the_pinned_orbits():
                 assert not any(h1 and h2 for h1, h2 in zip(holds1, holds2))
             else:
                 assert all(holds1) and all(holds2)
-            for shift in range(4):
+            for trial in range(4):
+                pi = list(range(g.vertex_count))
+                if trial:
+                    rng.shuffle(pi)
                 try:
-                    lab = classify_dihedral_orbits(g, a, seed_shift=shift)
+                    lab = classify_dihedral_orbits(*_relabeled_action(g, a, pi))
                 except OrbitSizeError:
                     break
                 assert lab.generators_swapped == (bool(size_n) and not any(holds2))

@@ -258,20 +258,34 @@ def test_pullback_conditions_need_even_values_at_fixed_points(name):
 def test_prism_pins_both_rows_the_default_way():
     for n in (4, 6):
         ctx = ctx_for(doubled_rung_prism(n))
-        assert (ctx.s, ctx.t, ctx.flipped) == (2, 0, 0)
+        assert (ctx.labeling.s, ctx.labeling.t, ctx.labeling.flipped_count) == (2, 0, 0)
         assert ctx.labeling.generators_swapped
         assert run_all_checks(ctx, trials=10, seed=1).passed
 
 
+def _rotated_context(g, act, r):
+    """The context of g with each vertex v renamed v + r mod |V|, and the
+    old name of each new vertex."""
+    nv = g.vertex_count
+    back = [(w - r) % nv for w in range(nv)]
+    g2 = Multigraph.from_edges(nv, [((u + r) % nv, (v + r) % nv) for u, v in g.edges])
+    s1, s2 = ([(s[back[w]] + r) % nv for w in range(nv)] for s in (act.sigma1, act.sigma2))
+    return DecompositionContext(g2, actions.DihedralAction.build(g2, s1, s2)), back
+
+
 def test_membership_invariant_under_seed_rotation():
+    """Over all rotations of the vertex indices every possible seed and
+    strand start is taken; a divisor renamed the same way keeps both
+    membership verdicts."""
     rng = random.Random(77)
     for maker in (circulant(7, [1, 2]), concentric_polygon(4), klein_example()):
         g, act = maker
-        contexts = [DecompositionContext(g, act, seed_shift=r) for r in (0, 1, 2)]
+        contexts = [_rotated_context(g, act, r) for r in range(g.vertex_count)]
         for _ in range(40):
             d = random_degree_zero(g, rng)
-            verdicts_pair = {pair_sum_conditions(c, d.values) for c in contexts}
-            verdicts_triple = {triple_sum_conditions(c, d.values) for c in contexts}
+            moved = [(c, [d.values[v] for v in back]) for c, back in contexts]
+            verdicts_pair = {pair_sum_conditions(c, dr) for c, dr in moved}
+            verdicts_triple = {triple_sum_conditions(c, dr) for c, dr in moved}
             assert len(verdicts_pair) == 1
             assert len(verdicts_triple) == 1
 
@@ -402,11 +416,11 @@ def test_uniform_instances_match_reference_shapes():
     """On instances without mixed reflection classes the predicted
     shapes are the reference formulas themselves."""
     ctx = ctx_for(circulant(9, [1, 3]))
-    assert ctx.flipped == 0
+    assert ctx.labeling.flipped_count == 0
     q = check_quotient_structure(ctx)
     assert q.predicted == {"quotient": [9]} and q.passed
     ctx6 = ctx_for(concentric_polygon(6))
-    assert ctx6.flipped == 0
+    assert ctx6.labeling.flipped_count == 0
     k6 = check_kernel_structure(ctx6)
     assert k6.predicted == {"kernel": []} and k6.passed
 
@@ -438,6 +452,22 @@ def test_klein_odd_row_sum_rejected():
     vals[KLEIN.labeling.pinned[1].row[0]] = -1
     assert not triple_sum_conditions(KLEIN, vals)
     assert not pair_sum_conditions(KLEIN, vals)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [[1.0, -1.0, 0, 0, 0, 0, 0], [0.5, -0.5, 0, 0, 0, 0, 0], [True, -1, 0, 0, 0, 0, 0]],
+    ids=["integral_float", "half", "bool"],
+)
+def test_membership_rejects_non_int_divisors(d):
+    """A chip count that is not an int is refused by every membership
+    query and split, never read as a number: (0.5, -0.5, 0, ...) would
+    otherwise get a verdict."""
+    queries = [pair_sum_conditions, triple_sum_conditions, split_pair_sum, split_triple_sum]
+    queries += [lambda ctx, d, i=i: pullback_conditions(ctx, d, i) for i in (1, 2, 3)]
+    for query in queries:
+        with pytest.raises(TypeError, match="is not an int"):
+            query(C7, d)
 
 
 def test_image_order_of_natural_map():
@@ -498,7 +528,7 @@ def test_firing_quotient_matches_laplacian_solves(name):
     ctx = ctx_for(FIRING_INSTANCES[name]())
     fast = laplacian_mod_symmetric_firings(ctx)
     assert fast == firing_quotient_by_laplacian_solves(ctx)
-    assert fast == FinAbGroup((ctx.n,) * ctx.t)
+    assert fast == FinAbGroup((ctx.n,) * ctx.labeling.t)
 
 
 def quotient_by_subgroup_by_full_relations(cg, gens):
@@ -698,6 +728,20 @@ def test_verify_builds_each_pullback_generator_once(monkeypatch, maker, oracle):
     assert homs and by_homs > 0
     sizes = [ctx.quotient(i).quotient.vertex_count - 1 for i in (1, 2, 3)]
     assert len(pulled) - by_homs == sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "maker, oracle", [(m, o) for m, o, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS
+)
+def test_verify_scans_the_full_group_for_harmonicity_once(monkeypatch, maker, oracle):
+    """Harmonicity is checked where the quotients are built: the full
+    2n-element group once (by qhat), then each involution's subgroup and
+    the rotations, and never again by the labeling or the checks."""
+    g, act = maker()
+    scanned = _record_calls(monkeypatch, actions, "_harmonic_offender", arg=1)
+    ctx = DecompositionContext(g, act)
+    assert run_all_checks(ctx, trials=25, seed=1, oracle=oracle).passed
+    assert [len(group) for group in scanned] == [2 * act.n, 2, 2, act.n]
 
 
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)

@@ -14,6 +14,7 @@ from critgroups.divisors import (
     quotient_by_subgroup,
     subgroup_generated,
 )
+from critgroups.families import circulant
 from critgroups.intmatrix import Lattice
 from critgroups.multigraph import DisconnectedGraphError, Multigraph, spanning_tree_count
 from critgroups.oracles import brute_force_spanning_trees
@@ -147,6 +148,24 @@ def test_divisor_chips_must_be_ints():
     for values in ((1.9, -1.2, "0"), (1, -1, 0.0), (1, -1, None)):
         with pytest.raises(TypeError, match="is not an int"):
             Divisor(C3, values)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [[1.0, -1.0, 0, 0, 0, 0, 0], [0.5, -0.5, 0, 0, 0, 0, 0], [True, -1, 0, 0, 0, 0, 0]],
+    ids=["integral_float", "half", "bool"],
+)
+def test_group_queries_reject_non_int_divisors(d):
+    """The group's entry points refuse a chip count that is not an int:
+    project would otherwise return float coordinates for (1.0, -1.0, ...),
+    is_principal answer for (0.5, -0.5, ...) and read True as 1, and
+    order_of fail inside math.gcd."""
+    cg = critical_group(circulant(7, [1, 2])[0])
+    queries = [cg.project, cg.order_of, lambda d: is_principal(cg, d)]
+    queries += [lambda d: quotient_by_subgroup(cg, [d]), lambda d: subgroup_generated(cg, [d])]
+    for query in queries:
+        with pytest.raises(TypeError, match="is not an int"):
+            query(d)
 
 
 def test_firing_counts_must_be_ints():

@@ -6,6 +6,7 @@ import pytest
 from critgroups.actions import classify_dihedral_orbits, is_harmonic
 from critgroups.divisors import critical_group
 from critgroups.families import (
+    CHAIN_BASES,
     chained_copies,
     circulant,
     concentric_polygon,
@@ -200,6 +201,17 @@ def test_chained_copies_validation():
         chained_copies(base, [2, 1, 0], 0, 1, 3)  # phi(a) != b
     with pytest.raises(ValueError):
         chained_copies(base, [2, 1, 0], 0, 0, 3)  # endpoints equal
+    # The gluing vertices and the copy count are ints, and the gluing
+    # vertices are vertices of the base: (False, True) would otherwise glue
+    # the edge at 0 and 1, and -4 on the 4-cycle end in a KeyError.
+    edge, phi, _, _ = CHAIN_BASES["edge"]
+    for a, b, n in ((False, True, 3), (0.0, 1, 3), (0, 1, 3.0)):
+        with pytest.raises(TypeError, match="is not an int"):
+            chained_copies(edge, phi, a, b, n)
+    square, phi, _, _ = CHAIN_BASES["cycle4"]
+    for a, b in ((-4, 2), (-2, 0), (0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            chained_copies(square, phi, a, b, 3)
 
 
 @pytest.mark.parametrize("steps", [[1.9, 2.0], [1, "2"], [True, 2]], ids=["float", "string", "bool"])

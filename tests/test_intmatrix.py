@@ -475,6 +475,18 @@ def test_entries_must_be_ints(entries):
         IntMatrix.from_rows([entries[:2], entries[2:]], 2)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, error",
+    [(-1, -2, ValueError), (-2, -1, ValueError), (True, 2, TypeError), (2, 1.0, TypeError)],
+    ids=["negative", "negative_swapped", "bool", "float"],
+)
+def test_shape_must_be_nonnegative_ints(rows, cols, error):
+    """A shape that is negative or not an int is refused: (-1, -2) and
+    (True, 2) both passed the entry count check for two entries."""
+    with pytest.raises(error, match="is not an int|negative shape"):
+        IntMatrix(rows, cols, [1, 2])
+
+
 def test_from_rows_keeps_its_shape_when_empty():
     assert IntMatrix.from_rows([], 3) == IntMatrix(0, 3, [])
     assert IntMatrix.from_rows([[], []], 0) == IntMatrix(2, 0, [])
