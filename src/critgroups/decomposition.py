@@ -48,7 +48,6 @@ from .divisors import (
 )
 from .intmatrix import IntMatrix, Lattice, int_tuple
 from .multigraph import Multigraph, spanning_tree_count
-from .oracles import OracleRefused, brute_force_spanning_trees
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
 
@@ -743,6 +742,8 @@ def check_tree_case(ctx: DecompositionContext) -> CheckResult:
 def check_tree_count_oracle(ctx: DecompositionContext) -> CheckResult:
     """Matrix-tree count against spanning-tree enumeration, on graphs
     small enough to enumerate."""
+    from .oracles import OracleRefused, brute_force_spanning_trees
+
     fast = spanning_tree_count(ctx.graph)
     try:
         brute = brute_force_spanning_trees(ctx.graph)

@@ -90,8 +90,8 @@ class Multigraph:
         return len(self.edges) == self.vertex_count - 1 and self.is_connected()
 
 
-def laplacian(g: Multigraph) -> IntMatrix:
-    """Degree matrix minus adjacency matrix (positive semidefinite)."""
+def _laplacian_rows(g: Multigraph) -> list[list[int]]:
+    """Rows of the degree matrix minus the adjacency matrix."""
     n = g.vertex_count
     rows = [[0] * n for _ in range(n)]
     for u, v in g.edges:
@@ -100,7 +100,12 @@ def laplacian(g: Multigraph) -> IntMatrix:
             rows[v][u] -= 1
             rows[u][u] += 1
             rows[v][v] += 1
-    return IntMatrix.from_rows(rows, n)
+    return rows
+
+
+def laplacian(g: Multigraph) -> IntMatrix:
+    """Degree matrix minus adjacency matrix (positive semidefinite)."""
+    return IntMatrix.from_rows(_laplacian_rows(g), g.vertex_count)
 
 
 def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
@@ -109,9 +114,11 @@ def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
         raise DisconnectedGraphError("reduced Laplacian needs a connected graph")
     if not (0 <= root < g.vertex_count):
         raise ValueError("root out of range")
-    rows = laplacian(g).to_rows()
+    rows = _laplacian_rows(g)
     del rows[root]
-    return IntMatrix.from_rows([r[:root] + r[root + 1 :] for r in rows], len(rows))
+    for r in rows:
+        del r[root]
+    return IntMatrix.from_rows(rows, len(rows))
 
 
 def spanning_tree_count(g: Multigraph) -> int:

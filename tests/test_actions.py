@@ -1,15 +1,10 @@
 """Permutation groups on multigraphs: generation, harmonicity,
 orbit/stabilizer bookkeeping, and the dihedral orbit labeling."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import critgroups
 from critgroups.actions import (
     DihedralAction,
     LabelingImpossibleError,
@@ -408,7 +403,7 @@ def test_labeling_self_check_rejects_swapped_generators():
     assert checked >= 20
 
 
-def test_labeling_self_check_survives_optimize():
+def test_labeling_self_check_survives_optimize(fresh_python):
     """``python -O`` strips assert statements; the labeling self-check
     must raise all the same."""
     code = (
@@ -420,16 +415,7 @@ def test_labeling_self_check_survives_optimize():
         "except AssertionError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(critgroups.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout == "r1 pinned equation\n"
+    assert fresh_python(code, "-O") == "r1 pinned equation\n"
 
 
 def test_concentric_orbit_stabilizers():

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from critgroups.cli import main
+from critgroups.cli import CHAIN_BASE_NAMES, main
 from critgroups.decomposition import DecompositionContext, run_all_checks
 from critgroups.divisors import CriticalGroupData
-from critgroups.families import circulant, intro_counterexample, klein_example
+from critgroups.families import CHAIN_BASES, circulant, intro_counterexample, klein_example
 from critgroups.jsonio import graph_from_json, graph_to_json
 
 
@@ -315,6 +315,39 @@ def test_family_chain_of_two_edges_names_the_identity(capsys):
     code, out, err = run(capsys, "family", "chain", "--n", "2", "--base", "edge")
     assert (code, out) == (2, "")
     assert err == "error: sigma2 is the identity\n"
+
+
+def test_family_base_choices_are_the_chain_bases():
+    assert CHAIN_BASE_NAMES == tuple(CHAIN_BASES)
+
+
+def loaded_after_main(fresh_python, *argv):
+    """The package's modules in sys.modules after cli.main(argv) runs
+    in a fresh interpreter."""
+    out = fresh_python(
+        "import json, sys\n"
+        "from critgroups.cli import main\n"
+        f"main({list(argv)!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('critgroups'))))"
+    )
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_compute_loads_only_what_it_runs(capsys, tmp_path, fresh_python):
+    """No decomposition, quotients, oracles or families."""
+    path = write_family(capsys, tmp_path, "concentric", "--n", "4")
+    loaded = loaded_after_main(fresh_python, "compute", str(path))
+    used = {"cli", "jsonio", "actions", "multigraph", "intmatrix", "abelian", "divisors"}
+    assert loaded == {"critgroups", *(f"critgroups.{m}" for m in used)}
+
+
+def test_verify_loads_the_oracles_only_on_request(capsys, tmp_path, fresh_python):
+    path = write_family(capsys, tmp_path, "concentric", "--n", "4")
+    loaded = loaded_after_main(fresh_python, "verify", str(path), "--trials", "2")
+    assert "critgroups.decomposition" in loaded
+    assert loaded.isdisjoint({"critgroups.families", "critgroups.oracles"})
+    loaded = loaded_after_main(fresh_python, "verify", str(path), "--trials", "2", "--oracle")
+    assert "critgroups.oracles" in loaded
 
 
 def test_graph_json_round_trip():

@@ -98,6 +98,22 @@ def test_reduced_laplacian_examples():
     assert brute_force_spanning_trees(c4) == 4
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        # loops at 0 and 3, a double edge 0-1 and a triple edge 2-3
+        Multigraph.from_edges(4, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (2, 3), (3, 3), (0, 3)]),
+        concentric_polygon(8)[0],
+    ],
+    ids=["looped_multigraph", "concentric_polygon(8)"],
+)
+def test_reduced_laplacian_deletes_the_root_row_and_column(g):
+    lap = laplacian(g).to_rows()
+    for r in range(g.vertex_count):
+        kept = [row[:r] + row[r + 1 :] for i, row in enumerate(lap) if i != r]
+        assert reduced_laplacian(g, r) == IntMatrix.from_rows(kept, g.vertex_count - 1)
+
+
 def test_reduced_laplacian_root_independent():
     rng = random.Random(9)
     for _ in range(40):

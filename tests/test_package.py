@@ -1,0 +1,108 @@
+"""The package's public names: which ones, where they come from, and
+that they are resolved lazily, so `import critgroups` loads no module."""
+
+import importlib
+import json
+
+import pytest
+
+import critgroups
+from critgroups import divisors
+
+EXPORTS = {
+    "abelian": ["Cokernel", "FinAbGroup", "GroupHom", "direct_sum", "is_isomorphic", "kernel_of_hom"],
+    "actions": [
+        "DihedralAction",
+        "LabelingImpossibleError",
+        "NonHarmonicError",
+        "OrbitLabeling",
+        "OrbitSizeError",
+        "classify_dihedral_orbits",
+        "generate_group",
+        "is_harmonic",
+        "orbits",
+    ],
+    "decomposition": [
+        "DecompositionContext",
+        "DecompositionReport",
+        "laplacian_mod_symmetric_firings",
+        "pair_sum_conditions",
+        "pullback_conditions",
+        "run_all_checks",
+        "split_pair_sum",
+        "split_triple_sum",
+        "triple_sum_conditions",
+    ],
+    "divisors": ["CriticalGroupData", "Divisor", "FiringScript", "apply_firing", "critical_group", "is_principal"],
+    "intmatrix": ["IntMatrix", "hermite_normal_form", "smith_normal_form"],
+    "multigraph": [
+        "DisconnectedGraphError",
+        "Multigraph",
+        "laplacian",
+        "reduced_laplacian",
+        "spanning_tree_count",
+    ],
+    "quotients": ["QuotientResult", "is_pullback", "pullback", "quotient_graph", "tree_reduce"],
+}
+
+
+# The package's modules that an interpreter has loaded.
+LOADED = "sorted(m for m in sys.modules if m.startswith('critgroups'))"
+
+
+def test_export_table():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == 43
+    assert sorted(names) == sorted(critgroups.__all__)
+    listing = dir(critgroups)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"critgroups.{module}")
+        for name in names:
+            assert getattr(critgroups, name) is vars(owner)[name], name
+            assert name in listing
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "_private", "integer_kernel"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(critgroups, name)
+    assert not hasattr(critgroups, "no_such_module")
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from critgroups import *", namespace)
+    assert set(critgroups.__all__) <= set(namespace)
+    assert namespace["critical_group"] is divisors.critical_group
+
+
+def test_a_resolved_name_is_not_cached(monkeypatch):
+    """Each access reads the defining module, so a wrapper installed
+    there is seen through the package and is gone once it is undone."""
+    original = divisors.critical_group
+
+    def wrapper(g):
+        return original(g)
+
+    monkeypatch.setattr(divisors, "critical_group", wrapper)
+    assert critgroups.critical_group is wrapper
+    monkeypatch.undo()
+    assert critgroups.critical_group is original
+    assert "critical_group" not in vars(critgroups)
+
+
+def test_bare_import_loads_no_submodule(fresh_python):
+    out = fresh_python(f"import json, sys, critgroups\nprint(json.dumps({LOADED}))")
+    assert json.loads(out) == ["critgroups"]
+
+
+def test_submodules_resolve_after_a_bare_import(fresh_python):
+    out = fresh_python(
+        "import json, sys, critgroups\n"
+        "assert critgroups.families.CHAIN_BASES\n"
+        "assert critgroups.Multigraph is critgroups.multigraph.Multigraph\n"
+        f"print(json.dumps({LOADED}))"
+    )
+    loaded = json.loads(out)
+    assert "critgroups.families" in loaded
+    assert "critgroups.decomposition" not in loaded

@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (94 runs):
+The run set (95 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -42,6 +42,9 @@ The run set (94 runs):
     x1, x2 and rim a1, a2, b1, b2, c1, c2 under (x1 x2)(c1 c2) and
     (a1 b1)(a2 b2)(c1 c2), whose orbit {c1, c2} is stabilized by the
     rotation only, so it has no orbit labeling (exit 4);
+  * ``--format json verify --trials 25 --seed 7`` on the hub chain of
+    three copies (a 4-cycle with a hub), a known failing instance of the
+    kernel and quotient predictions (exit 1);
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
 
 Stdlib only.
@@ -127,6 +130,33 @@ def _edge_reflected_cycle(n: int) -> dict:
     }
 
 
+def _hub_chain(n: int) -> dict:
+    """n copies of the 4-cycle a-p-b-q plus a hub c joined to p and q,
+    each copy's b glued to the next copy's a, under the copy reversals
+    (v, i) -> (phi(v), -i) and (v, i) -> (phi(v), 1 - i) with
+    phi = (a b)(p q): the graph that ``critgroups family chain`` would
+    make from that base.  At n = 3 the kernel and quotient predictions
+    fail, so verify exits 1."""
+    edges = []
+    for i in range(n):
+        a, nxt = f"a@{i}", f"a@{(i + 1) % n}"
+        for x in (f"p@{i}", f"q@{i}"):
+            edges += [[a, x], [x, nxt], [x, f"c@{i}"]]
+
+    def reversal(shift: int) -> dict:
+        image = {}
+        for i in range(n):
+            j = (shift - i) % n
+            image |= {f"a@{i}": f"a@{(j + 1) % n}", f"p@{i}": f"q@{j}", f"q@{i}": f"p@{j}", f"c@{i}": f"c@{j}"}
+        return image
+
+    return {
+        "vertices": [f"{v}@{i}" for i in range(n) for v in "apqc"],
+        "edges": edges,
+        "actions": {"sigma1": reversal(0), "sigma2": reversal(1)},
+    }
+
+
 WRITTEN = {
     "empty": {"vertices": [], "edges": []},
     "one_vertex": {"vertices": ["a"], "edges": []},
@@ -145,6 +175,7 @@ WRITTEN = {
     ),
     "edge_reflected_cycle8": _edge_reflected_cycle(4),
     "edge_reflected_cycle10": _edge_reflected_cycle(5),
+    "hub_chain(3)": _hub_chain(3),
     "star_nonharmonic": {
         "vertices": ["c", "x", "y", "z"],
         "edges": [["c", "x"], ["c", "y"], ["c", "z"]],
@@ -205,6 +236,7 @@ def run_set() -> list[tuple[str, ...]]:
         runs.append(("--format", "json", "verify", file_name(name)))
     f = file_name("rotation_stabilized_pair")
     runs += [("--format", "json", "verify", f), ("verify", f)]
+    runs.append(("--format", "json", "verify", file_name("hub_chain(3)"), "--trials", "25", "--seed", "7"))
     runs += [("--help",), ("compute", "--help"), ("verify", "--help"), ("family", "--help")]
     return runs
 
