@@ -78,10 +78,6 @@ class FinAbGroup:
     def trivial(cls) -> "FinAbGroup":
         return cls(())
 
-    @classmethod
-    def cyclic(cls, n: int) -> "FinAbGroup":
-        return cls((n,))
-
     @property
     def order(self) -> int:
         return prod(self.factors) if self.factors else 1

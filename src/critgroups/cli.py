@@ -51,6 +51,8 @@ def cmd_compute(args) -> int:
         return EXIT_PARSE
     try:
         cg = critical_group(g)
+        # The matrix-tree route to ``order``: Bareiss shares no code with
+        # the Smith form, and the benchmark's output check compares the two.
         trees = spanning_tree_count(g)
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

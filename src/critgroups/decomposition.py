@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from math import prod
 from typing import Iterable, Sequence
 
 from .abelian import (
@@ -46,7 +47,7 @@ from .divisors import (
     critical_group,
     is_principal,
 )
-from .intmatrix import IntMatrix, Lattice, int_tuple
+from .intmatrix import IntMatrix, Lattice
 from .multigraph import Multigraph, spanning_tree_count
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
@@ -120,14 +121,6 @@ class DecompositionContext:
     def pair_pullback_generators(self) -> list[Divisor]:
         return [d for gens in self._pullback_generator_lists[:2] for d in gens]
 
-    def _check_divisor(self, d: Sequence[int]) -> list[int]:
-        vals = list(int_tuple(d, "chip count"))
-        if len(vals) != self.graph.vertex_count:
-            raise ValueError("divisor length differs from vertex count")
-        if sum(vals) != 0:
-            raise ValueError("operation requires a degree-zero divisor")
-        return vals
-
     # -- groups shared by several checks, each computed once ---------------
 
     @cached_property
@@ -165,6 +158,25 @@ class DecompositionContext:
         """Degree-zero divisors (root dropped) modulo pullback sums."""
         return Cokernel(triple_sum_matrix(self))
 
+    @cached_property
+    def closed_forms(self) -> dict[str, FinAbGroup] | None:
+        """The predicted kernel K(Ĝ)², quotient Z/n and divisor quotient
+        (Z/n)^(t+1), keyed as the checks report them, each with
+        max(s_df - 1, 0) + max(s_fl - 1, 0) more factors Z/2 at even n,
+        counting the pinned orbits on the default and the flipped class.
+        None for mixed classes with n >= 4: no closed form applies there."""
+        lab, n = self.labeling, self.n
+        s_fl = lab.flipped_count
+        if s_fl and n % 2 == 0 and n >= 4:
+            return None
+        two = () if n % 2 else (2,) * (max(lab.s - s_fl - 1, 0) + max(s_fl - 1, 0))
+        ghat = self.cg_hat.group
+        return {
+            "kernel": direct_sum(ghat, ghat, FinAbGroup(two)),
+            "quotient": FinAbGroup((n,) + two),
+            "divisors_mod_pullbacks": FinAbGroup((n,) * (lab.t + 1) + two),
+        }
+
 
 def _image_quotient(ctx: DecompositionContext, cols: int) -> Cokernel:
     """The critical group modulo the image of the first ``cols`` columns
@@ -189,7 +201,7 @@ def pullback_conditions(ctx: DecompositionContext, d: Sequence[int], i: int) -> 
     reflection fixes a vertex, since a fixed vertex has horizontal
     multiplicity 2.
     """
-    vals = ctx._check_divisor(d)
+    vals = ctx.cg._degree_zero(d)
     n = ctx.n
     lab = ctx.labeling
     role = ctx._role_of(i)
@@ -246,7 +258,7 @@ def pair_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     every pinned row has even sum, and the index-weighted total agrees
     mod n with half the flipped-orbit totals.
     """
-    return _pair_offset(ctx, ctx._check_divisor(d)) is not None
+    return _pair_offset(ctx, ctx.cg._degree_zero(d)) is not None
 
 
 def _triple_feasible(ctx: DecompositionContext, base: int, strand_excess: int) -> int | None:
@@ -311,7 +323,7 @@ def _rotation_constants(
 
 def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     """Is d a sum of pullbacks from all three quotients?"""
-    return _rotation_constants(ctx, ctx._check_divisor(d)) is not None
+    return _rotation_constants(ctx, ctx.cg._degree_zero(d)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +357,7 @@ def split_pair_sum(
     is fixed by forcing the first summand to have degree zero.  Raises
     ValueError when the membership conditions fail.
     """
-    vals = ctx._check_divisor(d)
+    vals = ctx.cg._degree_zero(d)
     offset = _pair_offset(ctx, vals)
     if offset is None:
         raise ValueError("divisor is not a sum of two involution pullbacks")
@@ -404,7 +416,7 @@ def split_triple_sum(
     A rotation-invariant correction with constant strand and row values
     reduces the problem to the two-involution split.
     """
-    vals = ctx._check_divisor(d)
+    vals = ctx.cg._degree_zero(d)
     consts = _rotation_constants(ctx, vals)
     if consts is None:
         raise ValueError("divisor is not a sum of the three pullbacks")
@@ -441,22 +453,6 @@ def pair_sum_matrix(ctx: DecompositionContext) -> IntMatrix:
 def triple_sum_matrix(ctx: DecompositionContext) -> IntMatrix:
     """Generator matrix (root dropped) of the full pullback-sum lattice."""
     return _dropped_columns(ctx, ctx.all_pullback_generators())
-
-
-def _extra_two_torsion(ctx: DecompositionContext) -> tuple[int, ...] | None:
-    """The Z/2 factors every closed-form prediction adds to its odd-n
-    shape, or None where no closed form applies.
-
-    The closed forms cover odd n, no pinned orbits, all pinned orbits on
-    the second-involution class, and the n = 2 mixed case."""
-    lab = ctx.labeling
-    if ctx.n % 2 == 1 or lab.s == 0:
-        return ()
-    s_fl = lab.flipped_count
-    if s_fl and ctx.n != 2:
-        return None
-    s_df = lab.s - s_fl
-    return (2,) * (max(s_df - 1, 0) + max(s_fl - 1, 0))
 
 
 def laplacian_mod_symmetric_firings(ctx: DecompositionContext) -> FinAbGroup:
@@ -538,21 +534,18 @@ def _gshape(g: FinAbGroup) -> list[int]:
 
 
 def _verdict(
-    ctx: DecompositionContext,
-    ok: bool,
-    computed: FinAbGroup,
-    predicted: FinAbGroup | None,
-    notes: list[str],
-) -> bool:
+    ctx: DecompositionContext, ok: bool, key: str, computed: FinAbGroup, notes: list[str]
+) -> tuple[bool, dict | None]:
     """Whether a check passes: its exact part came out ``ok`` and, where
-    a closed form applies, ``computed`` matches it.  Notes which case
-    applied."""
-    if predicted is None:
+    a closed form applies, ``computed`` matches the one under ``key``;
+    with that prediction as reported.  Notes which case applied."""
+    forms = ctx.closed_forms
+    if forms is None:
         notes.append("mixed reflection classes with n >= 4: no closed form")
-        return ok
+        return ok, None
     if ctx.labeling.flipped_count:
         notes.append("prediction adjusted for mixed reflection classes")
-    return ok and is_isomorphic(computed, predicted)
+    return ok and is_isomorphic(computed, forms[key]), {key: _gshape(forms[key])}
 
 
 def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
@@ -600,23 +593,17 @@ def check_kernel_structure(ctx: DecompositionContext) -> CheckResult:
     quotient critical groups into the critical group."""
     notes: list[str] = []
     computed = ctx.pullback_kernel
-    extra = _extra_two_torsion(ctx)
-    ghat = ctx.cg_hat.group
-    predicted = None if extra is None else direct_sum(ghat, ghat, FinAbGroup(extra))
     j, _ = ctx.pullback_image
-    prod_h = 1
-    for cgq in ctx.cg_h:
-        prod_h *= cgq.group.order
+    prod_h = prod(cgq.group.order for cgq in ctx.cg_h)
     order_ok = computed.order * j.order == prod_h
     if not order_ok:
-        notes.append(
-            f"|kernel|*|image| = {computed.order}*{j.order} != {prod_h}"
-        )
+        notes.append(f"|kernel|*|image| = {computed.order}*{j.order} != {prod_h}")
+    passed, predicted = _verdict(ctx, order_ok, "kernel", computed, notes)
     return CheckResult(
         name="kernel_structure",
-        passed=_verdict(ctx, order_ok, computed, predicted, notes),
+        passed=passed,
         computed={"kernel": _gshape(computed), "image_order": j.order},
-        predicted=None if predicted is None else {"kernel": _gshape(predicted)},
+        predicted=predicted,
         notes=notes,
     )
 
@@ -632,13 +619,12 @@ def check_quotient_structure(ctx: DecompositionContext) -> CheckResult:
     agree = is_isomorphic(direct, via_dp)
     if not agree:
         notes.append(f"paths disagree: {direct.factors} vs {via_dp.factors}")
-    extra = _extra_two_torsion(ctx)
-    predicted = None if extra is None else FinAbGroup((ctx.n,) + extra)
+    passed, predicted = _verdict(ctx, agree, "quotient", direct, notes)
     return CheckResult(
         name="quotient_structure",
-        passed=_verdict(ctx, agree, direct, predicted, notes),
+        passed=passed,
         computed={"quotient": _gshape(direct), "via_divisor_classes": _gshape(via_dp)},
-        predicted=None if predicted is None else {"quotient": _gshape(predicted)},
+        predicted=predicted,
         notes=notes,
     )
 
@@ -653,28 +639,25 @@ def check_divisor_class_quotient(ctx: DecompositionContext) -> CheckResult:
     lq_ok = is_isomorphic(lq, lq_expected)
     if not lq_ok:
         notes.append(f"firing quotient {lq.factors} != {lq_expected.factors}")
-    extra = _extra_two_torsion(ctx)
-    predicted = None if extra is None else FinAbGroup((ctx.n,) * (ctx.labeling.t + 1) + extra)
+    passed, predicted = _verdict(ctx, lq_ok, "divisors_mod_pullbacks", dp, notes)
+    if predicted is not None:
+        predicted["firing_lattice_quotient"] = _gshape(lq_expected)
     return CheckResult(
         name="divisor_class_quotient",
-        passed=_verdict(ctx, lq_ok, dp, predicted, notes),
+        passed=passed,
         computed={
             "divisors_mod_pullbacks": _gshape(dp),
             "firing_lattice_quotient": _gshape(lq),
         },
-        predicted=None
-        if predicted is None
-        else {
-            "divisors_mod_pullbacks": _gshape(predicted),
-            "firing_lattice_quotient": _gshape(lq_expected),
-        },
+        predicted=predicted,
         notes=notes,
     )
 
 
 def check_order_identity(ctx: DecompositionContext) -> CheckResult:
-    """Order bookkeeping: the composed identity always, the product
-    formula n * |H1| * |H2| * |H3| where it is expected to hold."""
+    """Order bookkeeping: the composed identity always, and where a
+    closed form applies the product formula its orders give,
+    |K(G)| * |K(Ĝ)|^2 = n * |H1| * |H2| * |H3|."""
     notes: list[str] = []
     big = ctx.cg.group.order
     hs = [cgq.group.order for cgq in ctx.cg_h]
@@ -684,27 +667,23 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
     composed_ok = big == j.order * q.order
     if not composed_ok:
         notes.append(f"|K| != |image|*|quotient|: {big} != {j.order}*{q.order}")
-    literal = ctx.n * hs[0] * hs[1] * hs[2]
-    literal_ok = big == literal
-    corrected_ok = big * ghat * ghat == literal
-    passed = composed_ok
-    if ctx.n % 2 == 1:
-        if ghat == 1:
-            passed = passed and literal_ok
-        else:
-            passed = passed and corrected_ok
-            notes.append(
-                "full quotient has nontrivial critical group: product formula "
-                "carries a |K(full quotient)|^2 factor"
-            )
-    else:
+    prod_h = prod(hs)
+    literal = ctx.n * prod_h
+    forms = ctx.closed_forms
+    passed = composed_ok and (
+        forms is None or big * forms["kernel"].order == prod_h * forms["quotient"].order
+    )
+    if ctx.n % 2 == 0:
         even_analogue = literal * 2 ** max(ctx.labeling.s - 1, 0)
         notes.append(
-            f"even order: n*prod = {literal} ({'==' if literal_ok else '!='} |K|); "
+            f"even order: n*prod = {literal} ({'==' if big == literal else '!='} |K|); "
             f"2-power variant {even_analogue} flagged, not asserted"
         )
-        if _extra_two_torsion(ctx) is not None:
-            passed = passed and corrected_ok
+    elif ghat != 1:
+        notes.append(
+            "full quotient has nontrivial critical group: product formula "
+            "carries a |K(full quotient)|^2 factor"
+        )
     return CheckResult(
         name="order_identity",
         passed=passed,
@@ -723,19 +702,19 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
 
 def check_tree_case(ctx: DecompositionContext) -> CheckResult:
     """Odd n with a tree full quotient: the three-way direct sum embeds
-    with cyclic cokernel of order n."""
+    (K(Ĝ) is trivial) with cyclic cokernel of order n."""
     if ctx.n % 2 == 0:
         raise ValueError("tree case requires odd n")
     if not ctx.qhat.quotient.is_tree():
         raise ValueError("full quotient is not a tree")
     ker = ctx.pullback_kernel
     quot = ctx.pullback_quotient.group
-    passed = ker.is_trivial() and is_isomorphic(quot, FinAbGroup.cyclic(ctx.n))
+    forms = ctx.closed_forms
     return CheckResult(
         name="tree_case",
-        passed=passed,
+        passed=is_isomorphic(ker, forms["kernel"]) and is_isomorphic(quot, forms["quotient"]),
         computed={"kernel": _gshape(ker), "quotient": _gshape(quot)},
-        predicted={"kernel": [], "quotient": _gshape(FinAbGroup.cyclic(ctx.n))},
+        predicted={key: _gshape(forms[key]) for key in ("kernel", "quotient")},
     )
 
 

@@ -90,12 +90,17 @@ class CriticalGroupData:
     def moduli(self) -> tuple[int, ...]:
         return self.group.factors
 
-    def _dropped(self, d: Sequence[int]) -> list[int]:
+    def _degree_zero(self, d: Sequence[int]) -> list[int]:
+        """d's chip counts, checked: ints, one per vertex, summing to 0."""
         vals = list(int_tuple(d, "chip count"))
         if len(vals) != self.graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
         if sum(vals) != 0:
-            raise ValueError("projection is defined on degree-zero divisors")
+            raise ValueError("operation requires a degree-zero divisor")
+        return vals
+
+    def _dropped(self, d: Sequence[int]) -> list[int]:
+        vals = self._degree_zero(d)
         return vals[: self.root] + vals[self.root + 1 :]
 
     def project(self, d: Sequence[int]) -> tuple[int, ...]:

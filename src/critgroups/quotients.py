@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .actions import Perm, generate_group, orbits, require_harmonic
+from .intmatrix import int_tuple
 from .multigraph import Multigraph
 
 
@@ -85,6 +86,7 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
 
 def pullback(q: QuotientResult, dhat: Sequence[int]) -> list[int]:
     """Pull a quotient divisor back: value m(v) * dhat(image of v)."""
+    dhat = int_tuple(dhat, "chip count")
     if len(dhat) != q.quotient.vertex_count:
         raise ValueError("divisor not indexed by quotient vertices")
     return [
@@ -99,6 +101,7 @@ def pullback_witness(q: QuotientResult, delta: Sequence[int]) -> list[int] | Non
     delta is a pullback iff it is constant on fibers and each value is
     divisible by the horizontal multiplicity there.
     """
+    delta = int_tuple(delta, "chip count")
     if len(delta) != q.source.vertex_count:
         raise ValueError("divisor not indexed by source vertices")
     if sum(delta) != 0:

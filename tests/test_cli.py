@@ -124,6 +124,13 @@ _MALFORMED = {
         "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
         "actions": {"sigma1": {"1": 1, "2": 3, "3": 2}, "sigma2": {"1": "2", "2": "1", "3": "3"}},
     },
+    # the actions block is checked for every command, compute too: (a m)
+    # is no automorphism of the path a-m-b
+    "path_not_automorphism": {
+        "vertices": ["a", "m", "b"],
+        "edges": [["a", "m"], ["m", "b"]],
+        "actions": {"sigma1": {"a": "m", "m": "a", "b": "b"}, "sigma2": {"a": "b", "m": "m", "b": "a"}},
+    },
 }
 
 

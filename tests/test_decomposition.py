@@ -15,6 +15,7 @@ from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quot
 from critgroups.cli import main
 from critgroups.decomposition import (
     DecompositionContext,
+    check_divisor_class_quotient,
     check_kernel_structure,
     check_order_identity,
     check_pair_exact_sequence,
@@ -44,7 +45,7 @@ from critgroups.families import (
 from critgroups.intmatrix import IntMatrix, Lattice
 from critgroups.jsonio import graph_to_json
 from critgroups.multigraph import Multigraph, laplacian
-from critgroups.quotients import is_pullback, pullback, quotient_graph
+from critgroups.quotients import is_pullback, pullback, quotient_graph, tree_reduce
 
 
 def chain(base_name, n):
@@ -425,19 +426,6 @@ def test_loops_leave_the_report_unchanged(name):
     assert loops.to_json() == plain.to_json()
 
 
-def test_uniform_instances_match_reference_shapes():
-    """On instances without mixed reflection classes the predicted
-    shapes are the reference formulas themselves."""
-    ctx = ctx_for(circulant(9, [1, 3]))
-    assert ctx.labeling.flipped_count == 0
-    q = check_quotient_structure(ctx)
-    assert q.predicted == {"quotient": [9]} and q.passed
-    ctx6 = ctx_for(concentric_polygon(6))
-    assert ctx6.labeling.flipped_count == 0
-    k6 = check_kernel_structure(ctx6)
-    assert k6.predicted == {"kernel": []} and k6.passed
-
-
 def hub_chain(n):
     """n copies of the 4-cycle a-p-b-q plus a hub c joined to p and q,
     glued at (a, b) under phi = (a b)(p q).  Every orbit has 3 or 6
@@ -446,6 +434,116 @@ def hub_chain(n):
         5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (3, 4)], labels=["a", "p", "b", "q", "c"]
     )
     return chained_copies(base, [2, 3, 0, 1, 4], 0, 2, n)
+
+
+_NO_FORM = "mixed reflection classes with n >= 4: no closed form"
+_MIXED = "prediction adjusted for mixed reflection classes"
+_NONTRIVIAL_GHAT = (
+    "full quotient has nontrivial critical group: product formula carries a "
+    "|K(full quotient)|^2 factor"
+)
+
+
+def _even(literal, variant):
+    return f"even order: n*prod = {literal} (== |K|); 2-power variant {variant} flagged, not asserted"
+
+
+# One instance per branch of DecompositionContext.closed_forms: per
+# check, the predicted dict and the notes it reports.
+PREDICTION_BRANCHES = {
+    # odd n, K(Ĝ) trivial
+    "circulant7": (
+        lambda: circulant(7, [1, 2]),
+        {
+            "kernel_structure": ({"kernel": []}, []),
+            "quotient_structure": ({"quotient": [7]}, []),
+            "divisor_class_quotient": (
+                {"divisors_mod_pullbacks": [7], "firing_lattice_quotient": []},
+                [],
+            ),
+            "order_identity": ({"product_formula": 1183}, []),
+        },
+    ),
+    # odd n, K(Ĝ) = Z/2 (a known failing instance of the kernel and
+    # quotient predictions)
+    "hub_chain3": (
+        lambda: hub_chain(3),
+        {
+            "kernel_structure": ({"kernel": [2, 2]}, []),
+            "quotient_structure": ({"quotient": [3]}, []),
+            "divisor_class_quotient": (
+                {"divisors_mod_pullbacks": [3, 3], "firing_lattice_quotient": [3]},
+                [],
+            ),
+            "order_identity": ({"product_formula": 20736}, [_NONTRIVIAL_GHAT]),
+        },
+    ),
+    # no pinned orbit (s = 0)
+    "edge_reflected_cycle4": (
+        lambda: edge_reflected_cycle(4),
+        {
+            "kernel_structure": ({"kernel": []}, []),
+            "quotient_structure": ({"quotient": [4]}, []),
+            "divisor_class_quotient": (
+                {"divisors_mod_pullbacks": [4, 4], "firing_lattice_quotient": [4]},
+                [],
+            ),
+            "order_identity": ({"product_formula": 8}, [_even(8, 8)]),
+        },
+    ),
+    # even n, every pinned orbit on the default class
+    "concentric6": (
+        lambda: concentric_polygon(6),
+        {
+            "kernel_structure": ({"kernel": []}, []),
+            "quotient_structure": ({"quotient": [6]}, []),
+            "divisor_class_quotient": (
+                {"divisors_mod_pullbacks": [6, 6], "firing_lattice_quotient": [6]},
+                [],
+            ),
+            "order_identity": ({"product_formula": 3528360}, [_even(3528360, 3528360)]),
+        },
+    ),
+    # n = 2 with mixed classes: one default and two flipped pinned orbits
+    "klein": (
+        klein_example,
+        {
+            "kernel_structure": ({"kernel": [2]}, [_MIXED]),
+            "quotient_structure": ({"quotient": [2, 2]}, [_MIXED]),
+            "divisor_class_quotient": (
+                {"divisors_mod_pullbacks": [2, 2], "firing_lattice_quotient": []},
+                [_MIXED],
+            ),
+            "order_identity": ({"product_formula": 32}, [_even(32, 128)]),
+        },
+    ),
+    # mixed classes at n >= 4: no closed form
+    "chain_path4": (
+        lambda: chain("path", 4),
+        {
+            "kernel_structure": (None, [_NO_FORM]),
+            "quotient_structure": (None, [_NO_FORM]),
+            "divisor_class_quotient": (None, [_NO_FORM]),
+            "order_identity": ({"product_formula": 8}, [_even(8, 16)]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PREDICTION_BRANCHES))
+def test_predictions_by_branch(name):
+    """Each closed-form branch reports its predicted shapes and notes as
+    pinned here; only the snapshot tool's reports show them otherwise."""
+    maker, expected = PREDICTION_BRANCHES[name]
+    ctx = ctx_for(maker())
+    for check in (
+        check_kernel_structure,
+        check_quotient_structure,
+        check_divisor_class_quotient,
+        check_order_identity,
+    ):
+        result = check(ctx)
+        assert (result.predicted, result.notes) == expected[result.name], result.name
 
 
 def test_hub_chain_fails_the_kernel_and_quotient_predictions():
@@ -532,6 +630,8 @@ def test_membership_rejects_non_int_divisors(d):
     otherwise get a verdict."""
     queries = [pair_sum_conditions, triple_sum_conditions, split_pair_sum, split_triple_sum]
     queries += [lambda ctx, d, i=i: pullback_conditions(ctx, d, i) for i in (1, 2, 3)]
+    queries += [lambda ctx, d, i=i: is_pullback(ctx.quotient(i), d) for i in (1, 2, 3)]
+    queries.append(lambda ctx, d: tree_reduce(ctx.quotient(3), d))
     for query in queries:
         with pytest.raises(TypeError, match="is not an int"):
             query(C7, d)

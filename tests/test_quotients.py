@@ -87,6 +87,15 @@ def test_pullback_degree_and_witness():
         is_pullback(q, [1] + [0] * 8)  # nonzero degree
 
 
+def test_pullback_rejects_non_int_values():
+    """A float is refused, never read as a chip count: this call would
+    otherwise return a float divisor."""
+    g, act = klein_example()
+    q = quotient_graph(g, [act.sigma1])
+    with pytest.raises(TypeError, match="is not an int"):
+        pullback(q, [1.5, 0, 0, 0, -1.5])
+
+
 def test_pullback_criterion_triangle_reflection():
     c3 = Multigraph.from_edges(3, [(0, 1), (1, 2), (0, 2)], labels=["v1", "v2", "v3"])
     q = quotient_graph(c3, [[0, 2, 1]])  # reflection fixing v1

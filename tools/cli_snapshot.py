@@ -47,6 +47,14 @@ The run set (95 runs):
     kernel and quotient predictions (exit 1);
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
 
+Each branch of ``DecompositionContext.closed_forms`` reaches a report:
+odd n with trivial K(Ĝ) on ``circulant(7,[1,2])``, odd n with
+K(Ĝ) = Z/2 on ``hub_chain(3)``, no pinned orbit on
+``edge_reflected_cycle8`` and ``10``, even n with every pinned orbit
+on the default class on ``concentric_polygon(4)``, ``(8)`` and
+``(12)``, n = 2 with mixed classes on ``klein``, and mixed classes at
+n >= 4 (no closed form) on ``chained_copies(path,4)``.
+
 Stdlib only.
 """
 
