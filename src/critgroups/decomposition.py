@@ -276,13 +276,11 @@ def _triple_feasible(ctx: DecompositionContext, base: int, strand_excess: int) -
     return None
 
 
-def _rotation_constants(
-    ctx: DecompositionContext, vals: list[int]
-) -> tuple[list[int], list[int], list[int]] | None:
-    """Constant values, per free orbit's x strand, per free orbit's y
-    strand and per pinned row, of a rotation pullback whose removal
-    leaves a sum of the two involution pullbacks; None when vals is not
-    a sum of pullbacks from all three quotients."""
+def _rotation_constants(ctx: DecompositionContext, vals: list[int]) -> list[int] | None:
+    """One constant per labeled row, in ``_labeled_rows`` order, of a
+    rotation pullback whose removal leaves a sum of the two involution
+    pullbacks; None when vals is not a sum of pullbacks from all three
+    quotients."""
     n = ctx.n
     lab = ctx.labeling
     p = []
@@ -301,24 +299,23 @@ def _rotation_constants(
         rho_fl = _triple_feasible(ctx, _weighted_base(ctx, vals)[0], excess)
         if rho_fl is None:
             return None
-    q = [0] * lab.t
+    strands = [c for x in p for c in (x, 0)]  # x then y strand of each free orbit
     r = [0] * lab.s
-    flipped = [j for j, orb in enumerate(lab.pinned) if orb.flipped]
-    default = [j for j, orb in enumerate(lab.pinned) if not orb.flipped]
     if lab.s == 0:
         # compensate on the second strand of the first free orbit
-        q[0] = -excess // 2
-        p[0] += q[0]
+        strands[1] = -excess // 2
+        strands[0] += strands[1]
     elif n % 2 == 1:
         for j in range(1, lab.s):
             r[j] = sum(vals[v] for v in lab.pinned[j].row) % 2
         r[0] = -excess - sum(r)
-    elif flipped and default:
-        r[flipped[0]] = rho_fl
-        r[default[0]] = -excess - rho_fl
+    elif 0 < lab.flipped_count < lab.s:  # both kinds of pinned orbit
+        flipped = [orb.flipped for orb in lab.pinned]
+        r[flipped.index(True)] = rho_fl
+        r[flipped.index(False)] = -excess - rho_fl
     else:
         r[0] = -excess  # one kind of pinned orbit: row 0 is its first
-    return p, q, r
+    return strands + r
 
 
 def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
@@ -330,21 +327,13 @@ def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
 # constructive splits
 
 
-def _assemble(ctx: DecompositionContext, fill) -> list[int]:
-    """Build divisor values orbit by orbit; fill(kind, j, orb) returns
-    the per-index values for the j-th free orbit's strands or the j-th
-    pinned row."""
+def _place_rows(ctx: DecompositionContext, rows: list[list[int]]) -> list[int]:
+    """Divisor values from one list per labeled row, in ``_labeled_rows``
+    order, each value put on its row's vertex."""
     vals = [0] * ctx.graph.vertex_count
-    for j, orb in enumerate(ctx.labeling.free):
-        xvals, yvals = fill("free", j, orb)
-        for i, v in enumerate(orb.xrow):
-            vals[v] = xvals[i]
-        for i, v in enumerate(orb.yrow):
-            vals[v] = yvals[i]
-    for j, orb in enumerate(ctx.labeling.pinned):
-        zvals = fill("pinned", j, orb)
-        for i, v in enumerate(orb.row):
-            vals[v] = zvals[i]
+    for row, row_vals in zip(_labeled_rows(ctx.labeling), rows, strict=True):
+        for v, x in zip(row, row_vals, strict=True):
+            vals[v] = x
     return vals
 
 
@@ -363,28 +352,23 @@ def split_pair_sum(
         raise ValueError("divisor is not a sum of two involution pullbacks")
     n = ctx.n
     lab = ctx.labeling
-
-    def first_part(kind, j, orb):
-        if kind == "free":
-            a = offset if j == 0 else 0
-            dx = [vals[v] for v in orb.xrow]
-            dy = [vals[v] for v in orb.yrow]
-            px = list(accumulate(dx))
-            xout = [px[i] - sum(dy[n - i :]) + a for i in range(n)]
-            yout = [xout[_reflect(i, n, 1)] for i in range(n)]
-            return xout, yout
+    rows = []
+    for j, orb in enumerate(lab.free):
+        a = offset if j == 0 else 0
+        dy = [vals[v] for v in orb.yrow]
+        px = list(accumulate(vals[v] for v in orb.xrow))
+        xout = [px[i] - sum(dy[n - i :]) + a for i in range(n)]
+        rows += [xout, [xout[_reflect(i, n, 1)] for i in range(n)]]
+    for j, orb in enumerate(lab.pinned):
         b = 2 * offset if j == 0 and lab.t == 0 else 0
         dz = [vals[v] for v in orb.row]
         pz = list(accumulate(dz))
         if not orb.flipped:
-            return [pz[i] - sum(dz[n - i :]) + b for i in range(n)]
-        total = sum(dz)
-        out = [b]
-        for i0 in range(1, n):
-            out.append(b + (pz[i0] - dz[0]) - dz[0] - (total - pz[n - i0]))
-        return out
-
-    first = _assemble(ctx, first_part)
+            rows.append([pz[i] - sum(dz[n - i :]) + b for i in range(n)])
+        else:
+            total = sum(dz)
+            rows.append([b] + [b + pz[i] - 2 * dz[0] - (total - pz[n - i]) for i in range(1, n)])
+    first = _place_rows(ctx, rows)
     second = [a - b for a, b in zip(vals, first)]
     d1 = Divisor(ctx.graph, tuple(first))
     d2 = Divisor(ctx.graph, tuple(second))
@@ -420,15 +404,7 @@ def split_triple_sum(
     consts = _rotation_constants(ctx, vals)
     if consts is None:
         raise ValueError("divisor is not a sum of the three pullbacks")
-    p, q, r = consts
-    n = ctx.n
-
-    def rotation_part(kind, j, orb):
-        if kind == "free":
-            return [p[j]] * n, [q[j]] * n
-        return [r[j]] * n
-
-    third = _assemble(ctx, rotation_part)
+    third = _place_rows(ctx, [[c] * ctx.n for c in consts])
     rest = [a - b for a, b in zip(vals, third)]
     d3 = Divisor(ctx.graph, tuple(third))
     if d3.degree != 0 or not pullback_conditions(ctx, d3.values, 3):
@@ -674,11 +650,8 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
         forms is None or big * forms["kernel"].order == prod_h * forms["quotient"].order
     )
     if ctx.n % 2 == 0:
-        even_analogue = literal * 2 ** max(ctx.labeling.s - 1, 0)
-        notes.append(
-            f"even order: n*prod = {literal} ({'==' if big == literal else '!='} |K|); "
-            f"2-power variant {even_analogue} flagged, not asserted"
-        )
+        op = "==" if big == literal else "!="
+        notes.append(f"even order: n*prod = {literal} ({op} |K|); flagged, not asserted")
     elif ghat != 1:
         notes.append(
             "full quotient has nontrivial critical group: product formula "

@@ -106,13 +106,16 @@ def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:
 
 def divisor_from_json(g: Multigraph, doc: dict) -> list[int]:
     """Chip counts by vertex label; each count must be a JSON integer."""
+    if not isinstance(doc, dict):
+        raise GraphFormatError("divisor document must be an object")
+    _require_labels(doc, "divisor vertex")
     index = {g.label(v): v for v in range(g.vertex_count)}
     vals = [0] * g.vertex_count
     for lbl, x in doc.items():
-        if str(lbl) not in index:
+        if lbl not in index:
             raise GraphFormatError(f"divisor names unknown vertex {lbl!r}")
         # bool is an int subclass, but true is not a chip count.
         if not isinstance(x, int) or isinstance(x, bool):
             raise GraphFormatError(f"chip count for vertex {lbl!r} must be an integer, got {x!r}")
-        vals[index[str(lbl)]] = x
+        vals[index[lbl]] = x
     return vals

@@ -461,6 +461,28 @@ def test_divisor_json_rejects_unknown_vertices(label):
         divisor_from_json(g, {label: 1})
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({2: 1, 0: -1}, "divisor vertex 2 is not a string"),
+        ({2: 1, "2": 5, 0: -6}, "divisor vertex 2 is not a string"),
+        ([1], "divisor document must be an object"),
+        (None, "divisor document must be an object"),
+        ("x1", "divisor document must be an object"),
+    ],
+)
+def test_divisor_json_rejects_non_string_keys_and_non_objects(doc, message):
+    """A divisor is a JSON object keyed by vertex label: a number key is
+    not read as its decimal spelling (two keys would then name one
+    vertex), and a list, null or string is refused, not an AttributeError."""
+    from critgroups.jsonio import GraphFormatError, divisor_from_json
+    from critgroups.multigraph import Multigraph
+
+    g = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphFormatError, match=message):
+        divisor_from_json(g, doc)
+
+
 def test_verify_rejects_negative_trials(capsys, tmp_path):
     path = write_family(capsys, tmp_path, "klein")
     assert run(capsys, "verify", str(path), "--trials", "-1")[0] == 2

@@ -133,6 +133,29 @@ def test_split_refuses_non_members():
         split_triple_sum(C7, d)
 
 
+def test_split_self_checks_raise_assertion_error(monkeypatch):
+    """A fault in the constants a split is built from is an internal
+    error, never a "not a member" ValueError: a shifted rotation constant
+    is caught before the remainder reaches the pair split, and a shifted
+    pair offset by the pair split's own check."""
+    real_constants = decomposition._rotation_constants
+    real_offset = decomposition._pair_offset
+    d = [0] * G4.graph.vertex_count
+
+    def shifted_constants(ctx, vals):
+        consts = real_constants(ctx, vals)
+        consts[-1] += 1
+        return consts
+
+    monkeypatch.setattr(decomposition, "_rotation_constants", shifted_constants)
+    with pytest.raises(AssertionError, match="rotation correction is not a rotation pullback"):
+        split_triple_sum(G4, d)
+    monkeypatch.setattr(decomposition, "_rotation_constants", real_constants)
+    monkeypatch.setattr(decomposition, "_pair_offset", lambda ctx, vals: real_offset(ctx, vals) + 1)
+    with pytest.raises(AssertionError):
+        split_pair_sum(G4, d)
+
+
 def test_pullbacks_satisfy_their_conditions():
     rng = random.Random(33)
     for ctx in (C7, KLEIN, G4):
@@ -161,7 +184,9 @@ def test_sums_of_pullbacks_are_members():
         chain("cycle4", 11),
         circulant(21, [1, 2, 3]),
     )
-    for ctx in (C7, KLEIN, G4, *map(ctx_for, ladder)):
+    # s = 0; odd n with two pinned rows; mixed classes at n = 4
+    branches = (edge_reflected_cycle(4), chain("path", 3), chain("path", 4))
+    for ctx in (C7, KLEIN, G4, *map(ctx_for, ladder + branches)):
         for _ in range(10):
             parts = []
             for i in (1, 2, 3):
@@ -444,8 +469,8 @@ _NONTRIVIAL_GHAT = (
 )
 
 
-def _even(literal, variant):
-    return f"even order: n*prod = {literal} (== |K|); 2-power variant {variant} flagged, not asserted"
+def _even(literal):
+    return f"even order: n*prod = {literal} (== |K|); flagged, not asserted"
 
 
 # One instance per branch of DecompositionContext.closed_forms: per
@@ -488,7 +513,7 @@ PREDICTION_BRANCHES = {
                 {"divisors_mod_pullbacks": [4, 4], "firing_lattice_quotient": [4]},
                 [],
             ),
-            "order_identity": ({"product_formula": 8}, [_even(8, 8)]),
+            "order_identity": ({"product_formula": 8}, [_even(8)]),
         },
     ),
     # even n, every pinned orbit on the default class
@@ -501,7 +526,7 @@ PREDICTION_BRANCHES = {
                 {"divisors_mod_pullbacks": [6, 6], "firing_lattice_quotient": [6]},
                 [],
             ),
-            "order_identity": ({"product_formula": 3528360}, [_even(3528360, 3528360)]),
+            "order_identity": ({"product_formula": 3528360}, [_even(3528360)]),
         },
     ),
     # n = 2 with mixed classes: one default and two flipped pinned orbits
@@ -514,7 +539,7 @@ PREDICTION_BRANCHES = {
                 {"divisors_mod_pullbacks": [2, 2], "firing_lattice_quotient": []},
                 [_MIXED],
             ),
-            "order_identity": ({"product_formula": 32}, [_even(32, 128)]),
+            "order_identity": ({"product_formula": 32}, [_even(32)]),
         },
     ),
     # mixed classes at n >= 4: no closed form
@@ -524,7 +549,7 @@ PREDICTION_BRANCHES = {
             "kernel_structure": (None, [_NO_FORM]),
             "quotient_structure": (None, [_NO_FORM]),
             "divisor_class_quotient": (None, [_NO_FORM]),
-            "order_identity": ({"product_formula": 8}, [_even(8, 16)]),
+            "order_identity": ({"product_formula": 8}, [_even(8)]),
         },
     ),
 }
