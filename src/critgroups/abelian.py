@@ -7,7 +7,7 @@ list of int moduli (no other type) and refolds it into the canonical chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -65,14 +65,18 @@ def canonical_chain(moduli: Sequence[int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+def chain_text(factors: Sequence[int]) -> str:
+    """An invariant-factor chain as ``Z/d1 + Z/d2 + ...``; ``0`` if empty."""
+    return " + ".join(f"Z/{d}" for d in factors) or "0"
+
+
+class FinAbGroup(namedtuple("FinAbGroup", "factors")):
     """Finite abelian group as a canonical invariant-factor chain."""
 
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", canonical_chain(self.factors))
+    def __new__(cls, factors: Sequence[int]):
+        return super().__new__(cls, canonical_chain(factors))
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -91,9 +95,7 @@ class FinAbGroup:
         return not self.factors
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "0"
-        return " + ".join(f"Z/{d}" for d in self.factors)
+        return chain_text(self.factors)
 
     def to_json(self) -> dict:
         return {"invariant_factors": list(self.factors)}
@@ -201,8 +203,7 @@ def lattice_quotient(outer: IntMatrix, inner: IntMatrix) -> FinAbGroup:
     return Cokernel(IntMatrix.from_cols(coords, lattice.rank)).group
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(namedtuple("GroupHom", "source_moduli target_moduli matrix")):
     """Homomorphism between groups given by generator presentations.
 
     ``source_moduli`` and ``target_moduli`` are the cyclic orders of the
@@ -210,21 +211,19 @@ class GroupHom:
     maps source generator coordinates to target generator coordinates.
     """
 
-    source_moduli: tuple[int, ...]
-    target_moduli: tuple[int, ...]
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, m = len(self.source_moduli), len(self.target_moduli)
-        if self.matrix.rows != m or self.matrix.cols != k:
+    def __new__(cls, source_moduli: tuple[int, ...], target_moduli: tuple[int, ...], matrix: IntMatrix):
+        if matrix.rows != len(target_moduli) or matrix.cols != len(source_moduli):
             raise ValueError("hom matrix shape mismatch")
-        for j, a in enumerate(self.source_moduli):
-            for i, b in enumerate(self.target_moduli):
-                if (a * self.matrix[i, j]) % b != 0:
+        for j, a in enumerate(source_moduli):
+            for i, b in enumerate(target_moduli):
+                if (a * matrix[i, j]) % b != 0:
                     raise ValueError(
                         f"ill-defined hom: relation {a}*e{j} maps outside "
                         f"the target lattice at row {i}"
                     )
+        return super().__new__(cls, source_moduli, target_moduli, matrix)
 
 
 def kernel_of_hom(h: GroupHom) -> FinAbGroup:

@@ -10,8 +10,7 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .intmatrix import int_tuple
 from .multigraph import Multigraph
@@ -148,8 +147,7 @@ def require_harmonic(g: Multigraph, group: Sequence[Perm]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DihedralAction:
+class DihedralAction(NamedTuple):
     """Two involutions generating a dihedral group of order 2n."""
 
     n: int
@@ -186,8 +184,7 @@ class DihedralAction:
         return _powers(self.rotation)
 
 
-@dataclass(frozen=True)
-class PinnedOrbit:
+class PinnedOrbit(NamedTuple):
     """Size-n orbit: row[i] is the vertex with index i+1.
 
     ``flipped`` records which generator fixes the seed vertex: False
@@ -200,16 +197,14 @@ class PinnedOrbit:
     flipped: bool
 
 
-@dataclass(frozen=True)
-class FreeOrbit:
+class FreeOrbit(NamedTuple):
     """Size-2n orbit split into two strands interchanged by reflections."""
 
     xrow: tuple[int, ...]
     yrow: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitLabeling:
+class OrbitLabeling(NamedTuple):
     """Canonical indexing of all orbits of a dihedral action.
 
     With r1/r2 the (possibly swapped) generators and indices 1-based

@@ -36,11 +36,13 @@ EXIT_NONHARMONIC = 5
 CHAIN_BASE_NAMES = ("edge", "path", "cycle4")
 
 
-def _emit(doc: dict, text: str, fmt: str) -> None:
+def _emit(fmt: str, to_json, to_text) -> None:
+    """Print ``to_json()`` as JSON or ``to_text()``: only the chosen
+    format is rendered."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(to_json(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(to_text())
 
 
 def cmd_compute(args) -> int:
@@ -67,7 +69,7 @@ def cmd_compute(args) -> int:
         f"order: {cg.group.order}\n"
         f"spanning trees: {trees}"
     )
-    _emit(doc, text, args.format)
+    _emit(args.format, lambda: doc, lambda: text)
     return EXIT_OK
 
 
@@ -104,7 +106,7 @@ def cmd_verify(args) -> int:
         oracle=args.oracle,
         graph_name=args.file,
     )
-    _emit(report.to_json(), report.to_text(), args.format)
+    _emit(args.format, report.to_json, report.to_text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -132,7 +134,7 @@ def _report_labeling_failure(ctx, exc, fmt) -> None:
             else "the product does not divide it, so the direct sum cannot embed"
         )
     )
-    _emit(doc, text, fmt)
+    _emit(fmt, lambda: doc, lambda: text)
 
 
 def cmd_family(args) -> int:

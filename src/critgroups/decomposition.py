@@ -21,16 +21,16 @@ with n >= 4 get exact computations but no closed-form prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abelian import (
     Cokernel,
     FinAbGroup,
     GroupHom,
+    chain_text,
     direct_sum,
     is_isomorphic,
     kernel_of_hom,
@@ -485,15 +485,14 @@ def _pullback_hom(
 # structural checks
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verified statement: exact computation vs predicted shape."""
 
     name: str
     passed: bool
     computed: dict
     predicted: dict | None = None
-    notes: list[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
 
     def to_json(self) -> dict:
         return {
@@ -785,8 +784,7 @@ def membership_sweep(
     )
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Outcome of every structural check on one graph-with-action."""
 
     graph_name: str
@@ -824,9 +822,8 @@ class DecompositionReport:
             f"graph: {self.graph_name}",
             f"dihedral order 2n = {2 * self.n}; pinned orbits {self.s} "
             f"(flipped {self.flipped}), free orbits {self.t}",
-            f"critical group: {FinAbGroup(tuple(self.group))}",
-            "quotient groups: "
-            + ", ".join(str(FinAbGroup(tuple(f))) for f in self.quotient_groups),
+            f"critical group: {chain_text(self.group)}",
+            "quotient groups: " + ", ".join(chain_text(f) for f in self.quotient_groups),
             f"sweep seed {self.seed}, trials {self.trials}",
         ]
         for c in sorted(self.checks, key=lambda c: c.name):

@@ -11,7 +11,7 @@ against lattice membership in the firing lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .abelian import Cokernel, FinAbGroup
@@ -19,17 +19,40 @@ from .intmatrix import IntMatrix, int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
 
 
-@dataclass(frozen=True)
 class Divisor:
-    """Integer chip counts on the vertices of a fixed graph."""
+    """Integer chip counts on the vertices of a fixed graph.
 
-    graph: Multigraph
-    values: tuple[int, ...]
+    Immutable, and equal to another divisor with the same graph and
+    values.  A slotted class rather than a named tuple, because it reads
+    as the sequence of its chip counts (``len``, iteration)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", int_tuple(self.values, "chip count"))
-        if len(self.values) != self.graph.vertex_count:
+    __slots__ = ("graph", "values")
+
+    def __init__(self, graph: Multigraph, values: tuple[int, ...]):
+        values = int_tuple(values, "chip count")
+        if len(values) != graph.vertex_count:
             raise ValueError("divisor length differs from vertex count")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Divisor is immutable; {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Divisor:
+            return NotImplemented
+        return (self.graph, self.values) == (other.graph, other.values)
+
+    def __hash__(self):
+        return hash((self.graph, self.values))
+
+    def __repr__(self) -> str:
+        return f"Divisor(graph={self.graph!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return Divisor, (self.graph, self.values)
 
     @property
     def degree(self) -> int:
@@ -45,17 +68,16 @@ class Divisor:
         return {self.graph.label(v): x for v, x in enumerate(self.values) if x}
 
 
-@dataclass(frozen=True)
-class FiringScript:
+class FiringScript(namedtuple("FiringScript", "graph counts")):
     """How many times each vertex fires (negative means borrowing)."""
 
-    graph: Multigraph
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", int_tuple(self.counts, "firing count"))
-        if len(self.counts) != self.graph.vertex_count:
+    def __new__(cls, graph: Multigraph, counts: tuple[int, ...]):
+        counts = int_tuple(counts, "firing count")
+        if len(counts) != graph.vertex_count:
             raise ValueError("script length differs from vertex count")
+        return super().__new__(cls, graph, counts)
 
 
 def apply_firing(d: Divisor, s: FiringScript) -> Divisor:

@@ -8,7 +8,9 @@ Graph files look like
 
 Repeated pairs encode parallel edges and ["a", "a"] encodes a loop; the
 "actions" block is optional and maps vertex labels to vertex labels.
-Labels, edge endpoints and action images must be JSON strings.
+Labels, edge endpoints and action images must be JSON strings.  No other
+key is read, so none is accepted: a misspelt "edge" or "action" is an
+error, not an empty edge list or a missing action.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ def graph_to_json(g: Multigraph, action: DihedralAction | None = None) -> dict:
 def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be an object")
+    for key in doc:
+        if key not in ("vertices", "edges", "actions"):
+            raise GraphFormatError(f"unknown key {key!r} in graph document")
     vertices = doc.get("vertices")
     if not isinstance(vertices, (list, tuple)):
         raise GraphFormatError("'vertices' must be a list of labels")
@@ -48,7 +53,7 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     if len(set(labels)) != len(labels):
         raise GraphFormatError("duplicate vertex labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
-    pairs = doc.get("edges", [])
+    pairs = doc.get("edges")
     if not isinstance(pairs, (list, tuple)):
         raise GraphFormatError("'edges' must be a list of vertex pairs")
     edges = []
@@ -65,8 +70,8 @@ def graph_from_json(doc: dict) -> tuple[Multigraph, DihedralAction | None]:
     action = None
     if "actions" in doc:
         acts = doc["actions"]
-        if not isinstance(acts, dict) or "sigma1" not in acts or "sigma2" not in acts:
-            raise GraphFormatError("'actions' needs 'sigma1' and 'sigma2'")
+        if not isinstance(acts, dict) or set(acts) != {"sigma1", "sigma2"}:
+            raise GraphFormatError("'actions' needs exactly the keys 'sigma1' and 'sigma2'")
         perms = []
         for key in ("sigma1", "sigma2"):
             table = acts[key]

@@ -7,8 +7,7 @@ the Laplacian: chip-firing cannot see them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -19,37 +18,38 @@ class DisconnectedGraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(namedtuple("Multigraph", "vertex_count edges labels")):
     """Undirected multigraph on vertices 0..n-1 with optional labels.
 
     The edge list is canonicalized (each pair sorted, list sorted) so
     equal graphs compare equal; no isomorphism testing happens here.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        int_tuple((self.vertex_count,), "vertex count")
-        int_tuple(chain.from_iterable(self.edges), "edge endpoint")
-        if self.vertex_count < 0:
+    def __new__(
+        cls,
+        vertex_count: int,
+        edges: tuple[tuple[int, int], ...],
+        labels: tuple[str, ...] | None = None,
+    ):
+        int_tuple((vertex_count,), "vertex count")
+        int_tuple(chain.from_iterable(edges), "edge endpoint")
+        if vertex_count < 0:
             raise ValueError("negative vertex count")
         canon = []
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for u, v in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range")
             canon.append((u, v) if u <= v else (v, u))
         canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.vertex_count:
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != vertex_count:
                 raise ValueError("label count mismatch")
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate vertex labels")
-            object.__setattr__(self, "labels", labels)
+        return super().__new__(cls, vertex_count, tuple(canon), labels)
 
     @classmethod
     def from_edges(

@@ -8,16 +8,14 @@ loops and are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import Perm, generate_group, orbits, require_harmonic
 from .intmatrix import int_tuple
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     """A harmonic quotient together with its covering data.
 
     ``vertex_map`` sends each source vertex to its quotient vertex and

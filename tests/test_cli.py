@@ -5,7 +5,7 @@ import json
 import pytest
 
 from critgroups.cli import CHAIN_BASE_NAMES, main
-from critgroups.decomposition import DecompositionContext, run_all_checks
+from critgroups.decomposition import DecompositionContext, DecompositionReport, run_all_checks
 from critgroups.divisors import CriticalGroupData
 from critgroups.families import CHAIN_BASES, circulant, intro_counterexample, klein_example
 from critgroups.jsonio import graph_from_json, graph_to_json
@@ -131,6 +131,23 @@ _MALFORMED = {
         "edges": [["a", "m"], ["m", "b"]],
         "actions": {"sigma1": {"a": "m", "m": "a", "b": "b"}, "sigma2": {"a": "b", "m": "m", "b": "a"}},
     },
+    # no key is read that the format does not define: a misspelt "edge"
+    # is not an empty edge list (a disconnected triangle, or on one vertex
+    # a graph that computes), a misspelt "action" does not skip the action
+    # check, and a third table is not ignored
+    "edges_missing": {"vertices": ["a"]},
+    "edge_misspelt": {"vertices": ["a", "b", "c"], "edge": _TRIANGLE_EDGES},
+    "edge_misspelt_one_vertex": {"vertices": ["a"], "edge": []},
+    "action_misspelt": {
+        "vertices": ["a", "m", "b"],
+        "edges": [["a", "m"], ["m", "b"]],
+        "action": {"sigma1": {"a": "m", "m": "a", "b": "b"}, "sigma2": {"a": "b", "m": "m", "b": "a"}},
+    },
+    "sigma3": {
+        "vertices": ["a", "b", "c"],
+        "edges": _TRIANGLE_EDGES,
+        "actions": {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": _TRIANGLE_SIGMA2, "sigma3": _TRIANGLE_SIGMA2},
+    },
 }
 
 
@@ -214,6 +231,22 @@ def test_verify_text_and_json_agree(capsys, tmp_path):
     doc = json.loads(json_out)
     assert doc["passed"] and "all checks passed" in text_out
     assert "24000" in text_out or doc["critical_group"] == [10, 10, 240]
+
+
+def test_verify_renders_only_the_chosen_format(capsys, tmp_path, monkeypatch):
+    """--format json builds no text report, and the text format no JSON."""
+    path = write_family(capsys, tmp_path, "concentric", "--n", "4")
+
+    def refuse(self):
+        raise AssertionError("rendered a format that was not chosen")
+
+    monkeypatch.setattr(DecompositionReport, "to_text", refuse)
+    code, out, _ = run(capsys, "--format", "json", "verify", str(path), "--trials", "2")
+    assert code == 0 and json.loads(out)["passed"]
+    monkeypatch.undo()
+    monkeypatch.setattr(DecompositionReport, "to_json", refuse)
+    code, out, _ = run(capsys, "verify", str(path), "--trials", "2")
+    assert code == 0 and out.endswith("result: all checks passed\n")
 
 
 def test_verify_intro_exit_4_with_certificate(capsys, tmp_path):

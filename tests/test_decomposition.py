@@ -10,7 +10,7 @@ import random
 import pytest
 
 import critgroups
-from critgroups import actions, decomposition, intmatrix
+from critgroups import abelian, actions, decomposition, intmatrix
 from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quotient
 from critgroups.cli import main
 from critgroups.decomposition import (
@@ -420,6 +420,17 @@ def test_theorem_sweep(name, maker):
         order.computed["image_order"] * order.computed["cokernel_order"]
         == order.computed["group_order"]
     )
+
+
+def test_report_text_refolds_no_chain(monkeypatch):
+    """The report's chains are canonical already: to_text prints them with
+    the formatter FinAbGroup's str uses and calls no canonical_chain."""
+    g, act = concentric_polygon(4)
+    report = run_all_checks(DecompositionContext(g, act), trials=3, seed=1)
+    quotients = ", ".join(str(FinAbGroup(tuple(f))) for f in report.quotient_groups)
+    monkeypatch.setattr(abelian, "canonical_chain", lambda moduli: pytest.fail("canonical_chain called"))
+    lines = report.to_text().splitlines()
+    assert lines[2:4] == ["critical group: Z/10 + Z/10 + Z/240", f"quotient groups: {quotients}"]
 
 
 LOOP_INSTANCES = {

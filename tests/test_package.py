@@ -106,3 +106,18 @@ def test_submodules_resolve_after_a_bare_import(fresh_python):
     loaded = json.loads(out)
     assert "critgroups.families" in loaded
     assert "critgroups.decomposition" not in loaded
+
+
+def test_only_the_normal_form_results_are_dataclasses(fresh_python):
+    """Decorating a dataclass generates and compiles its methods in every
+    child that imports it.  The record types are named tuples or slotted
+    classes instead; SnfResult and HnfResult stay dataclasses because
+    perfbench's tracer reads their matrices through dataclasses.fields."""
+    out = fresh_python(
+        "import dataclasses, importlib, json, pkgutil, critgroups\n"
+        "names = [m.name for m in pkgutil.iter_modules(critgroups.__path__) if m.name != '__main__']\n"
+        "mods = [importlib.import_module(f'critgroups.{m}') for m in names]\n"
+        "print(json.dumps(sorted(f'{m.__name__}.{k}' for m in mods for k, v in vars(m).items()\n"
+        "    if dataclasses.is_dataclass(v) and v.__module__ == m.__name__)))"
+    )
+    assert json.loads(out) == ["critgroups.intmatrix.HnfResult", "critgroups.intmatrix.SnfResult"]

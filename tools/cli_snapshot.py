@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (95 runs):
+The run set (98 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -38,6 +38,11 @@ The run set (95 runs):
     (exit 2), and the two triangles a-b-c and d-e-f under
     (a d)(b e)(c f) and (a d)(b f)(c e), disconnected and with no orbit
     labeling (exit 3);
+  * ``--format json compute`` on three documents with a key the format
+    does not define, each a parse error (exit 2): the triangle with
+    ``edge`` for ``edges``, the path a-m-b with ``action`` for
+    ``actions`` (its (a m) is no automorphism), and the triangle with a
+    ``sigma3`` table beside ``sigma1`` and ``sigma2``;
   * ``--format json verify`` and text ``verify`` on K_{2,6} with hubs
     x1, x2 and rim a1, a2, b1, b2, c1, c2 under (x1 x2)(c1 c2) and
     (a1 b1)(a2 b2)(c1 c2), whose orbit {c1, c2} is stabilized by the
@@ -220,6 +225,18 @@ WRITTEN = {
 
 REJECTED = ("star_nonharmonic", "path_not_automorphism", "two_triangles")
 
+_TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+_TRIANGLE_FLIPS = {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": {"a": "b", "b": "a", "c": "c"}}
+UNKNOWN_KEY = {
+    "edge": {"vertices": _TRIANGLE["vertices"], "edge": _TRIANGLE["edges"]},
+    "action": {
+        "vertices": ["a", "m", "b"],
+        "edges": [["a", "m"], ["m", "b"]],
+        "action": WRITTEN["path_not_automorphism"]["actions"],
+    },
+    "sigma3": {**_TRIANGLE, "actions": {**_TRIANGLE_FLIPS, "sigma3": _TRIANGLE_FLIPS["sigma1"]}},
+}
+
 
 def file_name(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name) + ".json"
@@ -242,6 +259,8 @@ def run_set() -> list[tuple[str, ...]]:
         runs.append(("compute", file_name(name)))
     for name in REJECTED:
         runs.append(("--format", "json", "verify", file_name(name)))
+    for name in UNKNOWN_KEY:
+        runs.append(("--format", "json", "compute", file_name(name)))
     f = file_name("rotation_stabilized_pair")
     runs += [("--format", "json", "verify", f), ("verify", f)]
     runs.append(("--format", "json", "verify", file_name("hub_chain(3)"), "--trials", "25", "--seed", "7"))
@@ -273,7 +292,7 @@ def main(argv: list[str]) -> int:
             print(f"family {name} failed: {made.stderr}", file=sys.stderr)
             return 1
         (graphs / file_name(name)).write_text(made.stdout)
-    for name, doc in WRITTEN.items():
+    for name, doc in {**WRITTEN, **UNKNOWN_KEY}.items():
         (graphs / file_name(name)).write_text(json.dumps(doc))
     runs = run_set()
     for args in runs:
