@@ -13,7 +13,7 @@ _EXPORTS = {
     "abelian": ("Cokernel", "FinAbGroup", "GroupHom", "direct_sum", "is_isomorphic", "kernel_of_hom"),
     "actions": (
         "DihedralAction", "LabelingImpossibleError", "NonHarmonicError", "OrbitLabeling",
-        "OrbitSizeError", "classify_dihedral_orbits", "generate_group", "is_harmonic", "orbits",
+        "OrbitSizeError", "classify_dihedral_orbits", "generate_group", "orbits",
     ),
     "decomposition": (
         "DecompositionContext", "DecompositionReport", "laplacian_mod_symmetric_firings",
@@ -21,7 +21,7 @@ _EXPORTS = {
         "split_triple_sum", "triple_sum_conditions",
     ),
     "divisors": (
-        "CriticalGroupData", "Divisor", "FiringScript", "apply_firing", "critical_group", "is_principal",
+        "CriticalGroupData", "critical_group", "is_principal",
     ),
     "intmatrix": ("IntMatrix", "hermite_normal_form", "smith_normal_form"),
     "multigraph": (

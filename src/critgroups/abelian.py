@@ -152,6 +152,7 @@ class Cokernel:
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Class of an ambient vector, in generator coordinates."""
+        vec = int_tuple(vec, "vector entry")
         if len(vec) != self.relations.rows:
             raise ValueError("dimension mismatch")
         return tuple(
@@ -178,6 +179,7 @@ class Cokernel:
         return kernel_of_hom(GroupHom(self.moduli, quotient.moduli, matrix))
 
     def element_order(self, coords: Sequence[int]) -> int:
+        coords = int_tuple(coords, "coordinate")
         if len(coords) != len(self.moduli):
             raise ValueError("coordinate length mismatch")
         orders = [d // gcd(d, c) for c, d in zip(coords, self.moduli)]
@@ -214,6 +216,8 @@ class GroupHom(namedtuple("GroupHom", "source_moduli target_moduli matrix")):
     __slots__ = ()
 
     def __new__(cls, source_moduli: tuple[int, ...], target_moduli: tuple[int, ...], matrix: IntMatrix):
+        source_moduli = int_tuple(source_moduli, "source modulus")
+        target_moduli = int_tuple(target_moduli, "target modulus")
         if matrix.rows != len(target_moduli) or matrix.cols != len(source_moduli):
             raise ValueError("hom matrix shape mismatch")
         for j, a in enumerate(source_moduli):

@@ -106,20 +106,12 @@ def orbits(group: Sequence[Perm], n: int) -> list[list[int]]:
     return out
 
 
-def is_harmonic(g: Multigraph, group: Sequence[Perm]) -> bool:
-    """No vertex stabilizer may fix an incident edge.
-
-    For an edge pair (u, v) fixed pointwise by a subgroup H, the parallel
-    edges between u and v must admit a free H-action, which requires |H|
-    to divide their number.  On simple graphs this reduces to "no
-    non-identity element fixes both endpoints of an edge".
-    """
-    return _harmonic_offender(g, group) is None
-
-
 def _harmonic_offender(
     g: Multigraph, group: Sequence[Perm]
 ) -> tuple[int, int] | None:
+    """An edge pair (u, v) whose pointwise stabilizer H cannot act freely
+    on the parallel edges between them (|H| does not divide their
+    number), or None when the action is harmonic."""
     # fixers[v]: positions in group of the elements fixing v, read off v's
     # column by tuple.count and tuple.index; a pair's stabilizer is the
     # intersection of its endpoints' sets.

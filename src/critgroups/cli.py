@@ -35,6 +35,15 @@ EXIT_NONHARMONIC = 5
 # family code; tests/test_cli.py checks that they agree.
 CHAIN_BASE_NAMES = ("edge", "path", "cycle4")
 
+# The options each family reads; ``family`` refuses any other.
+FAMILY_OPTIONS = {
+    "circulant": ("n", "steps"),
+    "concentric": ("n",),
+    "klein": (),
+    "intro": (),
+    "chain": ("n", "base"),
+}
+
 
 def _emit(fmt: str, to_json, to_text) -> None:
     """Print ``to_json()`` as JSON or ``to_text()``: only the chosen
@@ -138,6 +147,10 @@ def _report_labeling_failure(ctx, exc, fmt) -> None:
 
 
 def cmd_family(args) -> int:
+    for opt in ("n", "steps", "base"):
+        if getattr(args, opt) is not None and opt not in FAMILY_OPTIONS[args.name]:
+            print(f"error: family {args.name} takes no --{opt}", file=sys.stderr)
+            return EXIT_PARSE
     from . import families
 
     try:
@@ -154,13 +167,11 @@ def cmd_family(args) -> int:
             g, action = families.klein_example()
         elif args.name == "intro":
             g, action = families.intro_counterexample()
-        elif args.name == "chain":
+        else:  # chain
             if args.n is None:
                 raise ValueError("chain needs --n")
-            base, phi, a, b = families.CHAIN_BASES[args.base]
+            base, phi, a, b = families.CHAIN_BASES[args.base or "edge"]
             g, action = families.chained_copies(base, phi, a, b, args.n)
-        else:
-            raise ValueError(f"unknown family {args.name!r}")
     except NonHarmonicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONHARMONIC
@@ -200,14 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_family = sub.add_parser("family", help="emit a named family as graph JSON")
-    p_family.add_argument(
-        "name", choices=("circulant", "concentric", "klein", "intro", "chain")
-    )
+    p_family.add_argument("name", choices=tuple(FAMILY_OPTIONS))
     p_family.add_argument("--n", type=int)
     p_family.add_argument("--steps", help="comma-separated circulant steps")
-    p_family.add_argument(
-        "--base", choices=CHAIN_BASE_NAMES, default="edge", help="chain base graph"
-    )
+    p_family.add_argument("--base", choices=CHAIN_BASE_NAMES, help="chain base graph")
     p_family.set_defaults(func=cmd_family)
     return parser
 

@@ -41,13 +41,9 @@ from .actions import (
     _reflect,
     classify_dihedral_orbits,
 )
-from .divisors import (
-    CriticalGroupData,
-    Divisor,
-    critical_group,
-    is_principal,
-)
+from .divisors import CriticalGroupData, critical_group, is_principal
 from .intmatrix import IntMatrix, Lattice
+from .jsonio import divisor_to_json
 from .multigraph import Multigraph, spanning_tree_count
 from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
 
@@ -101,7 +97,7 @@ class DecompositionContext:
         return (3 - i) if self.labeling.generators_swapped else i
 
     @cached_property
-    def _pullback_generator_lists(self) -> tuple[list[Divisor], ...]:
+    def _pullback_generator_lists(self) -> tuple[list[tuple[int, ...]], ...]:
         """Per quotient, the pullbacks of its single-vertex differences."""
         out = []
         for q in (self.q1, self.q2, self.q3):
@@ -111,14 +107,14 @@ class DecompositionContext:
                 dhat = [0] * nq
                 dhat[v] = 1
                 dhat[0] = -1
-                gens.append(Divisor(self.graph, tuple(pullback(q, dhat))))
+                gens.append(tuple(pullback(q, dhat)))
             out.append(gens)
         return tuple(out)
 
-    def all_pullback_generators(self) -> list[Divisor]:
+    def all_pullback_generators(self) -> list[tuple[int, ...]]:
         return [d for gens in self._pullback_generator_lists for d in gens]
 
-    def pair_pullback_generators(self) -> list[Divisor]:
+    def pair_pullback_generators(self) -> list[tuple[int, ...]]:
         return [d for gens in self._pullback_generator_lists[:2] for d in gens]
 
     # -- groups shared by several checks, each computed once ---------------
@@ -134,14 +130,15 @@ class DecompositionContext:
         pair = len(self.cg_h[0].moduli) + len(self.cg_h[1].moduli)
         if pair == self._pullback_map.matrix.cols:
             # Trivial rotation quotient group: the pair columns are all of them.
-            return self.pullback_image[0]
+            return self.pullback_image
         return self.cg._coker.kernel_onto(_image_quotient(self, pair))
 
     @cached_property
-    def pullback_image(self) -> tuple[FinAbGroup, list[Divisor]]:
+    def pullback_image(self) -> FinAbGroup:
         """Subgroup generated by all three pullback images, the kernel of
-        the projection onto ``pullback_quotient``, with its generators."""
-        return self.cg._coker.kernel_onto(self.pullback_quotient), self.all_pullback_generators()
+        the projection onto ``pullback_quotient``; its generators are
+        ``all_pullback_generators()``."""
+        return self.cg._coker.kernel_onto(self.pullback_quotient)
 
     @cached_property
     def pullback_quotient(self) -> Cokernel:
@@ -328,7 +325,7 @@ def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
 
 
 def _place_rows(ctx: DecompositionContext, rows: list[list[int]]) -> list[int]:
-    """Divisor values from one list per labeled row, in ``_labeled_rows``
+    """Chip counts from one list per labeled row, in ``_labeled_rows``
     order, each value put on its row's vertex."""
     vals = [0] * ctx.graph.vertex_count
     for row, row_vals in zip(_labeled_rows(ctx.labeling), rows, strict=True):
@@ -339,7 +336,7 @@ def _place_rows(ctx: DecompositionContext, rows: list[list[int]]) -> list[int]:
 
 def split_pair_sum(
     ctx: DecompositionContext, d: Sequence[int]
-) -> tuple[Divisor, Divisor]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Write d as a sum of pullbacks through the two involutions.
 
     Uses running-sum formulas per orbit; the one free additive constant
@@ -369,9 +366,8 @@ def split_pair_sum(
             total = sum(dz)
             rows.append([b] + [b + pz[i] - 2 * dz[0] - (total - pz[n - i]) for i in range(1, n)])
     first = _place_rows(ctx, rows)
-    second = [a - b for a, b in zip(vals, first)]
-    d1 = Divisor(ctx.graph, tuple(first))
-    d2 = Divisor(ctx.graph, tuple(second))
+    d1 = tuple(first)
+    d2 = tuple(a - b for a, b in zip(vals, first))
     if ctx.labeling.generators_swapped:
         d1, d2 = d2, d1
     _check_split(ctx, (d1, d2), vals)
@@ -379,22 +375,18 @@ def split_pair_sum(
 
 
 def _check_split(ctx, parts, vals):
-    total = [0] * len(vals)
-    for part in parts:
-        for k, x in enumerate(part.values):
-            total[k] += x
-    if total != vals:
+    if [sum(xs) for xs in zip(*parts)] != vals:
         raise AssertionError("split does not sum back to the divisor")
     for i, part in enumerate(parts, 1):
-        if part.degree != 0:
+        if sum(part) != 0:
             raise AssertionError("split component has nonzero degree")
-        if not pullback_conditions(ctx, part.values, i):
+        if not pullback_conditions(ctx, part, i):
             raise AssertionError(f"split component fails membership for quotient {i}")
 
 
 def split_triple_sum(
     ctx: DecompositionContext, d: Sequence[int]
-) -> tuple[Divisor, Divisor, Divisor]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Write d as a sum of pullbacks from all three quotients.
 
     A rotation-invariant correction with constant strand and row values
@@ -404,10 +396,9 @@ def split_triple_sum(
     consts = _rotation_constants(ctx, vals)
     if consts is None:
         raise ValueError("divisor is not a sum of the three pullbacks")
-    third = _place_rows(ctx, [[c] * ctx.n for c in consts])
-    rest = [a - b for a, b in zip(vals, third)]
-    d3 = Divisor(ctx.graph, tuple(third))
-    if d3.degree != 0 or not pullback_conditions(ctx, d3.values, 3):
+    d3 = tuple(_place_rows(ctx, [[c] * ctx.n for c in consts]))
+    rest = [a - b for a, b in zip(vals, d3)]
+    if sum(d3) != 0 or not pullback_conditions(ctx, d3, 3):
         raise AssertionError("rotation correction is not a rotation pullback")
     d1, d2 = split_pair_sum(ctx, rest)  # checks d1, d2 and that they sum to rest
     return d1, d2, d3
@@ -417,8 +408,8 @@ def split_triple_sum(
 # lattice-level structure computations
 
 
-def _dropped_columns(ctx: DecompositionContext, divisors: Sequence[Divisor]) -> IntMatrix:
-    return IntMatrix.from_cols([ctx.cg._dropped(d.values) for d in divisors], ctx.cg.reduced.rows)
+def _dropped_columns(ctx: DecompositionContext, divisors: Sequence[Sequence[int]]) -> IntMatrix:
+    return IntMatrix.from_cols([ctx.cg._dropped(d) for d in divisors], ctx.cg.reduced.rows)
 
 
 def pair_sum_matrix(ctx: DecompositionContext) -> IntMatrix:
@@ -476,7 +467,7 @@ def _pullback_hom(
     pulled: list[list[int]] = []
     for cgq, q in groups:
         moduli.extend(cgq.moduli)
-        pulled += [pullback(q, list(gen.values)) for gen in cgq.generator_divisors()]
+        pulled += [pullback(q, gen) for gen in cgq.generator_divisors()]
     matrix = IntMatrix.from_cols([ctx.cg.project(vals) for vals in pulled], len(ctx.cg.moduli))
     return GroupHom(tuple(moduli), tuple(ctx.cg.moduli), matrix), pulled
 
@@ -545,9 +536,7 @@ def check_pair_exact_sequence(ctx: DecompositionContext) -> CheckResult:
     order_ok = h1 * h2 == ghat * j12.order
     if not order_ok:
         notes.append(f"{h1}*{h2} != {ghat}*{j12.order}")
-    witnesses = [
-        Divisor(ctx.graph, tuple(vals)).to_json() for vals in pulled
-    ]
+    witnesses = [divisor_to_json(ctx.graph, vals) for vals in pulled]
     return CheckResult(
         name="pair_exact_sequence",
         passed=compatible and injective and order_ok,
@@ -568,7 +557,7 @@ def check_kernel_structure(ctx: DecompositionContext) -> CheckResult:
     quotient critical groups into the critical group."""
     notes: list[str] = []
     computed = ctx.pullback_kernel
-    j, _ = ctx.pullback_image
+    j = ctx.pullback_image
     prod_h = prod(cgq.group.order for cgq in ctx.cg_h)
     order_ok = computed.order * j.order == prod_h
     if not order_ok:
@@ -637,7 +626,7 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
     big = ctx.cg.group.order
     hs = [cgq.group.order for cgq in ctx.cg_h]
     ghat = ctx.cg_hat.group.order
-    j, gens = ctx.pullback_image
+    j = ctx.pullback_image
     q = ctx.pullback_quotient.group
     composed_ok = big == j.order * q.order
     if not composed_ok:
@@ -665,7 +654,7 @@ def check_order_identity(ctx: DecompositionContext) -> CheckResult:
             "full_quotient_order": ghat,
             "image_order": j.order,
             "cokernel_order": q.order,
-            "witness_generators": [d.to_json() for d in gens],
+            "witness_generators": [divisor_to_json(ctx.graph, d) for d in ctx.all_pullback_generators()],
         },
         predicted={"product_formula": literal},
         notes=notes,
@@ -716,10 +705,10 @@ def check_tree_count_oracle(ctx: DecompositionContext) -> CheckResult:
 # randomized sweeps and the report
 
 
-def random_degree_zero(graph: Multigraph, rng: random.Random, span: int = 6) -> Divisor:
+def random_degree_zero(graph: Multigraph, rng: random.Random, span: int = 6) -> tuple[int, ...]:
     vals = [rng.randint(-span, span) for _ in range(graph.vertex_count)]
     vals[-1] -= sum(vals)
-    return Divisor(graph, tuple(vals))
+    return tuple(vals)
 
 
 def membership_sweep(
@@ -746,31 +735,27 @@ def membership_sweep(
         firing_lat = Lattice(ctx.cg.reduced)
     for k in range(trials):
         d = random_degree_zero(ctx.graph, rng)
-        in_pair = pair_sum_conditions(ctx, d.values)
-        in_triple = triple_sum_conditions(ctx, d.values)
+        in_pair = pair_sum_conditions(ctx, d)
+        in_triple = triple_sum_conditions(ctx, d)
         if in_pair and not in_triple:
             mismatches.append(f"trial {k}: pair member outside triple sum")
         if in_pair:
             pair_hits += 1
-            split_pair_sum(ctx, d.values)  # internal postcondition asserts
+            split_pair_sum(ctx, d)  # internal postcondition asserts
         if in_triple:
             triple_hits += 1
-            split_triple_sum(ctx, d.values)
+            split_triple_sum(ctx, d)
         if oracle:
-            dropped = ctx.cg._dropped(d.values)
-            if is_principal(ctx.cg, d.values) != firing_lat.contains(dropped):
+            dropped = ctx.cg._dropped(d)
+            if is_principal(ctx.cg, d) != firing_lat.contains(dropped):
                 mismatches.append(f"trial {k}: principality lattice oracle disagrees")
             if in_pair != pair_lat.contains(dropped):
                 mismatches.append(f"trial {k}: pair lattice oracle disagrees")
             if in_triple != triple_lat.contains(dropped):
                 mismatches.append(f"trial {k}: triple lattice oracle disagrees")
             for i in (1, 2, 3):
-                if pullback_conditions(ctx, d.values, i) != is_pullback(
-                    ctx.quotient(i), list(d.values)
-                ):
-                    mismatches.append(
-                        f"trial {k}: pullback conditions vs criterion at {i}"
-                    )
+                if pullback_conditions(ctx, d, i) != is_pullback(ctx.quotient(i), d):
+                    mismatches.append(f"trial {k}: pullback conditions vs criterion at {i}")
     return CheckResult(
         name="membership_sweep",
         passed=not mismatches,

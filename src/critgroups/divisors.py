@@ -1,92 +1,22 @@
-"""Divisors, chip-firing, and the critical group of a connected multigraph.
+"""The critical group of a connected multigraph, and divisor classes in it.
 
-The critical group is the cokernel of the reduced Laplacian.  A divisor
-class is always carried as an explicit divisor plus a projection into
-the group's own invariant-factor coordinates, and every question about
-classes is answered there: a divisor is principal exactly when its
-projection vanishes, and quotients are taken over the k invariant
-factors.  The tests and the ``--oracle`` sweep check principality
-against lattice membership in the firing lattice.
+A divisor is a sequence of int chip counts, one per vertex, returned as
+a tuple.  The critical group is the cokernel of the reduced Laplacian.
+A divisor class is always carried as an explicit divisor plus a
+projection into the group's own invariant-factor coordinates, and every
+question about classes is answered there: a divisor is principal
+exactly when its projection vanishes, and quotients are taken over the
+k invariant factors.  The tests and the ``--oracle`` sweep check
+principality against lattice membership in the firing lattice.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Sequence
 
 from .abelian import Cokernel, FinAbGroup
 from .intmatrix import IntMatrix, int_tuple
-from .multigraph import DisconnectedGraphError, Multigraph, laplacian, reduced_laplacian
-
-
-class Divisor:
-    """Integer chip counts on the vertices of a fixed graph.
-
-    Immutable, and equal to another divisor with the same graph and
-    values.  A slotted class rather than a named tuple, because it reads
-    as the sequence of its chip counts (``len``, iteration)."""
-
-    __slots__ = ("graph", "values")
-
-    def __init__(self, graph: Multigraph, values: tuple[int, ...]):
-        values = int_tuple(values, "chip count")
-        if len(values) != graph.vertex_count:
-            raise ValueError("divisor length differs from vertex count")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Divisor is immutable; {name!r} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not Divisor:
-            return NotImplemented
-        return (self.graph, self.values) == (other.graph, other.values)
-
-    def __hash__(self):
-        return hash((self.graph, self.values))
-
-    def __repr__(self) -> str:
-        return f"Divisor(graph={self.graph!r}, values={self.values!r})"
-
-    def __reduce__(self):
-        return Divisor, (self.graph, self.values)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def to_json(self) -> dict:
-        return {self.graph.label(v): x for v, x in enumerate(self.values) if x}
-
-
-class FiringScript(namedtuple("FiringScript", "graph counts")):
-    """How many times each vertex fires (negative means borrowing)."""
-
-    __slots__ = ()
-
-    def __new__(cls, graph: Multigraph, counts: tuple[int, ...]):
-        counts = int_tuple(counts, "firing count")
-        if len(counts) != graph.vertex_count:
-            raise ValueError("script length differs from vertex count")
-        return super().__new__(cls, graph, counts)
-
-
-def apply_firing(d: Divisor, s: FiringScript) -> Divisor:
-    """Result of running the script: d minus Laplacian times s."""
-    if d.graph != s.graph:
-        raise ValueError("divisor and script live on different graphs")
-    lap = laplacian(d.graph)
-    moved = lap.apply(list(s.counts))
-    return Divisor(d.graph, tuple(a - b for a, b in zip(d.values, moved)))
+from .multigraph import DisconnectedGraphError, Multigraph, reduced_laplacian
 
 
 class CriticalGroupData:
@@ -133,14 +63,12 @@ class CriticalGroupData:
         """Order of the divisor class in the critical group."""
         return self._coker.element_order(self.project(d))
 
-    def generator_divisors(self) -> list[Divisor]:
+    def generator_divisors(self) -> list[tuple[int, ...]]:
         """Divisors whose classes are the invariant-factor generators."""
-        out = []
-        for lift in self._coker.generator_lifts():
-            vals = list(lift)
-            vals.insert(self.root, -sum(lift))
-            out.append(Divisor(self.graph, tuple(vals)))
-        return out
+        return [
+            (*lift[: self.root], -sum(lift), *lift[self.root :])
+            for lift in self._coker.generator_lifts()
+        ]
 
 
 def critical_group(g: Multigraph) -> CriticalGroupData:

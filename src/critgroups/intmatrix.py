@@ -106,6 +106,7 @@ class IntMatrix:
         return IntMatrix.from_rows(out, other.cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
+        vec = int_tuple(vec, "vector entry")
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         return [

@@ -10,13 +10,15 @@ Repeated pairs encode parallel edges and ["a", "a"] encodes a loop; the
 "actions" block is optional and maps vertex labels to vertex labels.
 Labels, edge endpoints and action images must be JSON strings.  No other
 key is read, so none is accepted: a misspelt "edge" or "action" is an
-error, not an empty edge list or a missing action.
+error, not an empty edge list or a missing action.  A divisor document
+maps vertex labels to integer chip counts, {"a": 2, "b": -2}; a vertex
+left out holds no chips.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .actions import DihedralAction
 from .multigraph import Multigraph
@@ -107,6 +109,11 @@ def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
     return graph_from_json(doc)
+
+
+def divisor_to_json(g: Multigraph, vals: Sequence[int]) -> dict:
+    """Chip counts by vertex label, zero counts left out."""
+    return {g.label(v): x for v, x in enumerate(vals) if x}
 
 
 def divisor_from_json(g: Multigraph, doc: dict) -> list[int]:

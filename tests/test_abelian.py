@@ -294,3 +294,30 @@ def test_cyclic_moduli_must_be_ints(moduli):
         canonical_chain(moduli)
     with pytest.raises(TypeError):
         FinAbGroup(moduli)
+
+
+Z2_Z6 = Cokernel(IntMatrix.diagonal([2, 6]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Z2_Z6.project([1.5, 7]),
+        lambda: Z2_Z6.project([True, 0]),
+        lambda: Z2_Z6.element_order([True, 0]),
+        lambda: Z2_Z6.element_order([1.0, 0]),
+        lambda: IntMatrix.identity(2).apply([1.5, True]),
+        lambda: IntMatrix.identity(2).apply([1, 1.0]),
+        lambda: GroupHom((2.0,), (2,), IntMatrix(1, 1, [1])),
+    ],
+    ids=[
+        "project_float", "project_bool", "element_order_bool", "element_order_float",
+        "apply_float_and_bool", "apply_float", "hom_source_float",
+    ],
+)
+def test_integer_entry_points_reject_floats_and_bools(call):
+    """Each is read through int_tuple: Z2_Z6.project([1.5, 7]) would
+    otherwise be (1.5, 1.0), and GroupHom((2.0,), ...) would construct
+    and fail only inside kernel_of_hom."""
+    with pytest.raises(TypeError, match="is not an int"):
+        call()

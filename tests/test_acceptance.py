@@ -374,8 +374,8 @@ def test_criterion_3_concentric_computable_parts():
     ok = ctx.cg.group.order == 24000
     hs = [cgq.group.factors for cgq in ctx.cg_h]
     ok &= hs == [(40,), (30,), (5,)]
-    j, gens = ctx.pullback_image
-    quot = quotient_by_subgroup(ctx.cg, [d.values for d in gens]).group
+    j = ctx.pullback_image
+    quot = quotient_by_subgroup(ctx.cg, ctx.all_pullback_generators()).group
     ok &= ctx.cg.group.order == j.order * quot.order
     ok &= quot.factors == (4,)
     ok &= j.order == 6000  # index 4
@@ -582,17 +582,17 @@ def test_criterion_6_oracle_equivalence():
         hits = 0
         for _ in range(200):
             d = random_degree_zero(ctx.graph, rng, span=4)
-            dropped = ctx.cg._dropped(d.values)
-            in_pair = pair_sum_conditions(ctx, d.values)
-            in_triple = triple_sum_conditions(ctx, d.values)
+            dropped = ctx.cg._dropped(d)
+            in_pair = pair_sum_conditions(ctx, d)
+            in_triple = triple_sum_conditions(ctx, d)
             ok &= in_pair == Lattice(pair_m).contains(dropped)
             ok &= in_triple == Lattice(triple_m).contains(dropped)
             if in_pair:
-                split_pair_sum(ctx, d.values)  # round-trips or raises
+                split_pair_sum(ctx, d)  # round-trips or raises
                 hits += 1
             if in_triple:
-                split_triple_sum(ctx, d.values)
-            ok &= is_principal(ctx.cg, d.values) == Lattice(ctx.cg.reduced).contains(dropped)
+                split_triple_sum(ctx, d)
+            ok &= is_principal(ctx.cg, d) == Lattice(ctx.cg.reduced).contains(dropped)
         member_counts[name] = hits
     # pullback injectivity, 50 divisors per quotient
     for name, ctx in (("klein", KLEIN_CTX), ("circulant7", ORACLE_SET[3][1])):

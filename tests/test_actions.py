@@ -11,13 +11,13 @@ from critgroups.actions import (
     NonHarmonicError,
     NotAutomorphismError,
     OrbitSizeError,
+    _harmonic_offender,
     _verify_labeling,
     check_automorphism,
     classify_dihedral_orbits,
     compose,
     generate_group,
     identity_perm,
-    is_harmonic,
     orbits,
     require_harmonic,
 )
@@ -148,7 +148,7 @@ def test_require_harmonic_matches_pair_stabilizer_reference():
             g2, group2 = _relabel(g, group, pi)
             expected = _offender_by_pair_stabilizers(g2, group2)
             verdicts.add(expected is None)
-            assert is_harmonic(g2, group2) == (expected is None), name
+            assert _harmonic_offender(g2, group2) == expected, name
             if expected is None:
                 require_harmonic(g2, group2)
                 continue
@@ -165,13 +165,14 @@ def test_require_harmonic_matches_pair_stabilizer_reference():
 
 def test_harmonicity_examples():
     g, act = intro_counterexample()
-    assert is_harmonic(g, act.elements)
+    require_harmonic(g, act.elements)
     star = Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     swap = generate_group(star, [[0, 2, 1, 3]])
-    assert not is_harmonic(star, swap)
+    with pytest.raises(NonHarmonicError):
+        require_harmonic(star, swap)
     c5 = cycle(5)
     rot = generate_group(c5, [[(i + 1) % 5 for i in range(5)]])
-    assert is_harmonic(c5, rot)
+    require_harmonic(c5, rot)
 
 
 def test_harmonicity_invariant_under_relabeling():
@@ -185,11 +186,11 @@ def test_harmonicity_invariant_under_relabeling():
     ]
     for g, gens in cases:
         group = generate_group(g, gens)
-        verdict = is_harmonic(g, group)
+        verdict = _harmonic_offender(g, group) is None
         for _ in range(5):
             pi = list(range(g.vertex_count))
             rng.shuffle(pi)
-            assert is_harmonic(*_relabel(g, group, pi)) == verdict
+            assert (_harmonic_offender(*_relabel(g, group, pi)) is None) == verdict
 
 
 def test_orbit_stabilizer_consistency():

@@ -349,6 +349,30 @@ def test_family_errors(capsys):
     assert run(capsys, "family", "chain")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("klein", "--n", "5"), "--n"),
+        (("intro", "--n", "3"), "--n"),
+        (("concentric", "--n", "4", "--steps", "1,2", "--base", "path"), "--steps"),
+        (("concentric", "--n", "4", "--base", "path"), "--base"),
+        (("chain", "--n", "4", "--steps", "1"), "--steps"),
+        (("circulant", "--n", "7", "--steps", "1,2", "--base", "edge"), "--base"),
+    ],
+)
+def test_family_refuses_options_it_does_not_read(capsys, argv, option):
+    """An option the family does not read is an error, not ignored."""
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {argv[0]} takes no {option}\n"
+
+
+def test_family_chain_base_defaults_to_edge(capsys):
+    plain = run(capsys, "family", "chain", "--n", "5")
+    assert plain[0] == 0
+    assert plain == run(capsys, "family", "chain", "--n", "5", "--base", "edge")
+
+
 def test_family_chain_of_two_edges_names_the_identity(capsys):
     """Two copies of an edge close into a digon, where the second
     copy-reversal is the identity; the error says so."""
@@ -460,14 +484,33 @@ def test_verify_chain_family_cli(capsys, tmp_path):
 
 
 def test_divisor_json_round_trip():
-    from critgroups.divisors import Divisor
-    from critgroups.jsonio import divisor_from_json
+    from critgroups.jsonio import divisor_from_json, divisor_to_json
 
     g, _ = klein_example()
     vals = [3, -1, 0, 0, -2, 0]
-    doc = Divisor(g, tuple(vals)).to_json()
+    doc = divisor_to_json(g, vals)
     assert doc == {"x1": 3, "x2": -1, "b1": -2}
     assert divisor_from_json(g, doc) == vals
+
+
+def test_report_witnesses_read_back(capsys, tmp_path):
+    """The report's witness divisors parse back through divisor_from_json:
+    ``witness_generators`` are the context's pullback generators, and each
+    of ``witness_pullbacks`` is a pullback through both involutions."""
+    from critgroups.jsonio import divisor_from_json, load_graph
+    from critgroups.quotients import is_pullback
+
+    path = write_family(capsys, tmp_path, "chain", "--n", "5", "--base", "cycle4")
+    code, out, _ = run(capsys, "--format", "json", "verify", str(path), "--trials", "0")
+    assert code == 0
+    computed = {c["name"]: c["computed"] for c in json.loads(out)["checks"]}
+    g, action = load_graph(str(path))
+    ctx = DecompositionContext(g, action)
+    gens = computed["order_identity"]["witness_generators"]
+    assert [tuple(divisor_from_json(g, doc)) for doc in gens] == ctx.all_pullback_generators()
+    pulled = [divisor_from_json(g, doc) for doc in computed["pair_exact_sequence"]["witness_pullbacks"]]
+    assert len(pulled) == len(ctx.cg_hat.moduli) == 1
+    assert all(is_pullback(ctx.q1, d) and is_pullback(ctx.q2, d) for d in pulled)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "-3", None, [1]])

@@ -100,9 +100,9 @@ def test_membership_examples_circulant():
     d2 = [1, -2, 1, 0, 0, 0, 0]
     assert pair_sum_conditions(C7, d2)
     d1, d2_part = split_pair_sum(C7, d2)
-    assert pullback_conditions(C7, d1.values, 1)
-    assert pullback_conditions(C7, d2_part.values, 2)
-    assert [a + b for a, b in zip(d1.values, d2_part.values)] == d2
+    assert pullback_conditions(C7, d1, 1)
+    assert pullback_conditions(C7, d2_part, 2)
+    assert [a + b for a, b in zip(d1, d2_part)] == d2
 
 
 def test_zero_divisor_memberships():
@@ -113,9 +113,9 @@ def test_zero_divisor_memberships():
         assert pair_sum_conditions(ctx, zero)
         assert triple_sum_conditions(ctx, zero)
         a, b = split_pair_sum(ctx, zero)
-        assert not any(a.values) and not any(b.values)
+        assert not any(a) and not any(b)
         parts = split_triple_sum(ctx, zero)
-        assert not any(x for p in parts for x in p.values)
+        assert not any(x for p in parts for x in p)
 
 
 def test_membership_requires_degree_zero():
@@ -200,9 +200,9 @@ def test_sums_of_pullbacks_are_members():
             assert pair_sum_conditions(ctx, pair)
             assert triple_sum_conditions(ctx, total)
             for d, split in ((pair, split_pair_sum(ctx, pair)), (total, split_triple_sum(ctx, total))):
-                assert [sum(vs) for vs in zip(*(p.values for p in split))] == d
+                assert [sum(vs) for vs in zip(*split)] == d
                 for i, p in enumerate(split, 1):
-                    assert pullback_conditions(ctx, p.values, i)
+                    assert pullback_conditions(ctx, p, i)
 
 
 ORACLE_INSTANCES = [
@@ -229,20 +229,18 @@ def test_membership_agrees_with_lattice_oracle(name, ctx):
     hits = 0
     for _ in range(200):
         d = random_degree_zero(ctx.graph, rng, span=4)
-        dropped = ctx.cg._dropped(d.values)
-        in_pair = pair_sum_conditions(ctx, d.values)
-        in_triple = triple_sum_conditions(ctx, d.values)
+        dropped = ctx.cg._dropped(d)
+        in_pair = pair_sum_conditions(ctx, d)
+        in_triple = triple_sum_conditions(ctx, d)
         assert in_pair == Lattice(pair_m).contains(dropped)
         assert in_triple == Lattice(triple_m).contains(dropped)
         if in_pair:
             hits += 1
-            split_pair_sum(ctx, d.values)  # asserts memberships and the sum
+            split_pair_sum(ctx, d)  # asserts memberships and the sum
         if in_triple:
-            split_triple_sum(ctx, d.values)
+            split_triple_sum(ctx, d)
         for i in (1, 2, 3):
-            assert pullback_conditions(ctx, d.values, i) == is_pullback(
-                ctx.quotient(i), list(d.values)
-            )
+            assert pullback_conditions(ctx, d, i) == is_pullback(ctx.quotient(i), d)
 
 
 def doubled_rung_prism(n):
@@ -322,7 +320,7 @@ def test_membership_invariant_under_seed_rotation():
         contexts = [_rotated_context(g, act, r) for r in range(g.vertex_count)]
         for _ in range(40):
             d = random_degree_zero(g, rng)
-            moved = [(c, [d.values[v] for v in back]) for c, back in contexts]
+            moved = [(c, [d[v] for v in back]) for c, back in contexts]
             verdicts_pair = {pair_sum_conditions(c, dr) for c, dr in moved}
             verdicts_triple = {triple_sum_conditions(c, dr) for c, dr in moved}
             assert len(verdicts_pair) == 1
@@ -339,15 +337,12 @@ def test_divisor_class_quotients():
 
 
 def test_pullback_subgroup_orders():
-    j, gens = G4.pullback_image
-    assert j.order == 6000
-    assert all(d.degree == 0 for d in gens)
-    j7, _ = C7.pullback_image
-    assert j7.order == 169
+    assert G4.pullback_image.order == 6000
+    assert all(sum(d) == 0 for d in G4.all_pullback_generators())
+    assert C7.pullback_image.order == 169
     # all quotients trees: trivial subgroup
     ctx = ctx_for(chain("edge", 5))
-    jt, _ = ctx.pullback_image
-    assert jt.order == ctx.cg_h[2].group.order  # rotation quotient only
+    assert ctx.pullback_image.order == ctx.cg_h[2].group.order  # rotation quotient only
 
 
 def test_kernel_and_quotient_values():
@@ -746,8 +741,8 @@ def quotient_by_subgroup_by_full_relations(cg, gens):
 @pytest.mark.parametrize("name", sorted(FIRING_INSTANCES))
 def test_quotient_by_subgroup_matches_full_relations(name):
     ctx = ctx_for(FIRING_INSTANCES[name]())
-    all_gens = [d.values for d in ctx.all_pullback_generators()]
-    pair_gens = [d.values for d in ctx.pair_pullback_generators()]
+    all_gens = ctx.all_pullback_generators()
+    pair_gens = ctx.pair_pullback_generators()
     assert ctx.pullback_quotient.group == quotient_by_subgroup_by_full_relations(ctx.cg, all_gens)
     pair_quotient = quotient_by_subgroup(ctx.cg, pair_gens).group
     assert pair_quotient == quotient_by_subgroup_by_full_relations(ctx.cg, pair_gens)
@@ -773,10 +768,10 @@ IMAGE_INSTANCES = {
 @pytest.mark.parametrize("name", sorted(IMAGE_INSTANCES))
 def test_pullback_images_match_hermite_route(name):
     ctx = IMAGE_INSTANCES[name]()
-    pair_gens = [d.values for d in ctx.pair_pullback_generators()]
-    all_gens = [d.values for d in ctx.all_pullback_generators()]
+    pair_gens = ctx.pair_pullback_generators()
+    all_gens = ctx.all_pullback_generators()
     assert ctx.pair_image == subgroup_by_hermite_form(ctx.cg, pair_gens)
-    assert ctx.pullback_image[0] == subgroup_by_hermite_form(ctx.cg, all_gens)
+    assert ctx.pullback_image == subgroup_by_hermite_form(ctx.cg, all_gens)
     # The natural map's columns and the vertex-difference generators give one quotient.
     assert ctx.pullback_quotient.group == quotient_by_subgroup(ctx.cg, all_gens).group
 

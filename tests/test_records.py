@@ -10,7 +10,6 @@ import pytest
 from critgroups.abelian import FinAbGroup, GroupHom
 from critgroups.actions import DihedralAction, FreeOrbit, OrbitLabeling, PinnedOrbit
 from critgroups.decomposition import CheckResult, DecompositionReport
-from critgroups.divisors import Divisor, FiringScript
 from critgroups.intmatrix import IntMatrix
 from critgroups.multigraph import Multigraph
 from critgroups.quotients import QuotientResult
@@ -44,8 +43,6 @@ RECORDS = {
         {"source_moduli": (2,), "target_moduli": (4,), "matrix": IntMatrix.from_rows([[2]], 1)},
         {"target_moduli": (2,)},
     ),
-    "Divisor": (Divisor, {"graph": P3, "values": (1, 0, -1)}, {"values": (0, 0, 0)}),
-    "FiringScript": (FiringScript, {"graph": P3, "counts": (1, 0, 0)}, {"counts": (0, 0, 1)}),
     "QuotientResult": (
         QuotientResult,
         {
@@ -119,11 +116,6 @@ def test_construction_canonicalizes():
     assert g != Multigraph(3, g.edges) and g != Multigraph(3, g.edges, ("a", "c", "b"))
     group = FinAbGroup([4, 6])
     assert group.factors == (2, 12) and repr(group) == "FinAbGroup(factors=(2, 12))"
-    assert Divisor(P3, [1, 0, -1]).values == (1, 0, -1)
-    assert FiringScript(P3, [0, 1, 0]).counts == (0, 1, 0)
-    assert repr(Divisor(Multigraph(2, ((0, 1),)), [1, -1])) == (
-        "Divisor(graph=Multigraph(vertex_count=2, edges=((0, 1),), labels=None), values=(1, -1))"
-    )
 
 
 @pytest.mark.parametrize(
@@ -135,10 +127,10 @@ def test_construction_canonicalizes():
         (lambda: Multigraph(2, ((0, 1),), ("a",)), ValueError),
         (lambda: FinAbGroup((2, 6.0)), TypeError),
         (lambda: GroupHom((2,), (2, 2), IntMatrix.from_rows([[1]], 1)), ValueError),
-        (lambda: Divisor(P3, (1, 0, -1.0)), TypeError),
-        (lambda: Divisor(P3, (1, -1)), ValueError),
-        (lambda: FiringScript(P3, (True, 0, 0)), TypeError),
-        (lambda: FiringScript(P3, (0, 0)), ValueError),
+        (lambda: GroupHom((2,), (2.0,), IntMatrix.from_rows([[1]], 1)), TypeError),
+        (lambda: Multigraph(2, ((0, 2),)), ValueError),
+        (lambda: GroupHom((2,), (True,), IntMatrix.from_rows([[0]], 1)), TypeError),
+        (lambda: FinAbGroup((4, 0)), ValueError),
     ],
 )
 def test_construction_rejects(build, error):

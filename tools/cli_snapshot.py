@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (98 runs):
+The run set (101 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -50,7 +50,10 @@ The run set (98 runs):
   * ``--format json verify --trials 25 --seed 7`` on the hub chain of
     three copies (a 4-cycle with a hub), a known failing instance of the
     kernel and quotient predictions (exit 1);
-  * ``critgroups --help`` and ``compute``/``verify``/``family --help``.
+  * ``critgroups --help`` and ``compute``/``verify``/``family --help``;
+  * three ``family`` runs given an option that family does not read,
+    each refused (exit 2): ``klein --n 5``, ``concentric --n 4 --steps
+    1,2 --base path`` and ``circulant --n 7 --steps 1,2 --base edge``.
 
 Each branch of ``DecompositionContext.closed_forms`` reaches a report:
 odd n with trivial K(Ĝ) on ``circulant(7,[1,2])``, odd n with
@@ -265,6 +268,11 @@ def run_set() -> list[tuple[str, ...]]:
     runs += [("--format", "json", "verify", f), ("verify", f)]
     runs.append(("--format", "json", "verify", file_name("hub_chain(3)"), "--trials", "25", "--seed", "7"))
     runs += [("--help",), ("compute", "--help"), ("verify", "--help"), ("family", "--help")]
+    runs += [
+        ("family", "klein", "--n", "5"),
+        ("family", "concentric", "--n", "4", "--steps", "1,2", "--base", "path"),
+        ("family", "circulant", "--n", "7", "--steps", "1,2", "--base", "edge"),
+    ]
     return runs
 
 
