@@ -10,7 +10,9 @@ machinery.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from math import gcd
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .intmatrix import int_tuple
 from .multigraph import Multigraph
@@ -42,18 +44,23 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
+def _then(p: Perm) -> Callable[[Perm], Perm]:
+    """q -> q . p, in C (an itemgetter of fewer than two entries returns no tuple)."""
+    return itemgetter(*p) if len(p) > 1 else lambda q: tuple([q[v] for v in p])
+
+
 def compose(outer: Perm, inner: Perm) -> Perm:
     """outer after inner: (outer . inner)(v) == outer[inner[v]]."""
-    return tuple([outer[v] for v in inner])
+    return _then(inner)(outer)
 
 
 def _powers(p: Perm) -> list[Perm]:
     """The cyclic group generated by p: identity, p, p^2, ..."""
     out = [identity_perm(len(p))]
-    q = p
+    q, times_p = p, _then(p)
     while q != out[0]:
         out.append(q)
-        q = compose(p, q)
+        q = times_p(q)
     return out
 
 
@@ -75,16 +82,16 @@ def check_automorphism(g: Multigraph, p: Sequence[int]) -> Perm:
 
 
 def generate_group(g: Multigraph, generators: Sequence[Sequence[int]]) -> list[Perm]:
-    """Closure of the generators under composition, deduplicated."""
-    gens = [check_automorphism(g, p) for p in generators]
+    """Closure of the generators under composition, deduplicated, sorted."""
+    steps = [_then(check_automorphism(g, p)) for p in generators]
     n = g.vertex_count
     group = {identity_perm(n)}
     frontier = [identity_perm(n)]
     while frontier:
         nxt = []
         for q in frontier:
-            for p in gens:
-                r = compose(p, q)
+            for step in steps:
+                r = step(q)
                 if r not in group:
                     group.add(r)
                     nxt.append(r)
@@ -129,8 +136,37 @@ def _harmonic_offender(
     return None
 
 
+def _dihedral_offender(g: Multigraph, action: DihedralAction) -> tuple[int, int] | None:
+    """``_harmonic_offender(g, action.elements)`` in O(V + E), from the cycles of
+    rho = sigma2 . sigma1: rho^k fixes v iff L_v | k (L_v: size of v's cycle), and
+    rho^k . sigma1 iff k = o_v mod L_v, o_v existing iff sigma1(v) is on v's cycle.
+    Over 0 <= k < n, a pair (u, v) is fixed by n / lcm(L_u, L_v) rotations, and
+    by as many reflections if o_u = o_v mod gcd(L_u, L_v), else by none."""
+    rho, s1 = action.rotation, action.sigma1
+    size, pos, root = [0] * len(rho), [0] * len(rho), [0] * len(rho)
+    for start in range(len(rho)):
+        if not size[start]:
+            cyc = [start]
+            while rho[cyc[-1]] != start:
+                cyc.append(rho[cyc[-1]])
+            for i, v in enumerate(cyc):
+                size[v], pos[v], root[v] = len(cyc), i, start
+    offset = [(pos[v] - pos[w]) % size[v] if root[w] == root[v] else None for v, w in enumerate(s1)]
+    for (u, v), mult in g.pair_multiplicities().items():
+        d = gcd(size[u], size[v])
+        order = action.n * d // (size[u] * size[v])
+        if None not in (offset[u], offset[v]) and (offset[u] - offset[v]) % d == 0:
+            order *= 2
+        if order > 1 and mult % order != 0:
+            return (u, v)
+    return None
+
+
 def require_harmonic(g: Multigraph, group: Sequence[Perm]) -> None:
-    bad = _harmonic_offender(g, group)
+    _refuse_offender(g, _harmonic_offender(g, group))
+
+
+def _refuse_offender(g: Multigraph, bad: tuple[int, int] | None) -> None:
     if bad is not None:
         raise NonHarmonicError(
             f"action is not harmonic: edge {g.label(bad[0])}-{g.label(bad[1])} "
@@ -164,7 +200,7 @@ class DihedralAction(NamedTuple):
         if s1 == s2:
             raise ValueError("sigma2 . sigma1 must have order at least 2")
         rotations = _powers(compose(s2, s1))
-        elements = sorted(rotations + [compose(r, s1) for r in rotations])
+        elements = sorted(rotations + list(map(_then(s1), rotations)))
         return cls(n=len(rotations), sigma1=s1, sigma2=s2, elements=tuple(elements))
 
     @property

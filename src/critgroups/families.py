@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .actions import DihedralAction, check_automorphism, compose, identity_perm, require_harmonic
+from .actions import DihedralAction, check_automorphism, compose, identity_perm
+from .actions import _dihedral_offender, _refuse_offender
 from .intmatrix import int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph
 
@@ -23,7 +24,7 @@ def _harmonic_action(
     """The graph with the dihedral action of the two involutions, checked
     to be harmonic."""
     action = DihedralAction.build(g, sigma1, sigma2)
-    require_harmonic(g, action.elements)
+    _refuse_offender(g, _dihedral_offender(g, action))
     return g, action
 
 

@@ -29,14 +29,12 @@ class GraphFormatError(ValueError):
 
 
 def graph_to_json(g: Multigraph, action: DihedralAction | None = None) -> dict:
-    doc: dict[str, Any] = {
-        "vertices": [g.label(v) for v in range(g.vertex_count)],
-        "edges": [[g.label(u), g.label(v)] for u, v in g.edges],
-    }
+    labels = [g.label(v) for v in range(g.vertex_count)]
+    doc: dict[str, Any] = {"vertices": labels, "edges": [[labels[u], labels[v]] for u, v in g.edges]}
     if action is not None:
         doc["actions"] = {
-            "sigma1": {g.label(v): g.label(action.sigma1[v]) for v in range(g.vertex_count)},
-            "sigma2": {g.label(v): g.label(action.sigma2[v]) for v in range(g.vertex_count)},
+            "sigma1": {labels[v]: labels[w] for v, w in enumerate(action.sigma1)},
+            "sigma2": {labels[v]: labels[w] for v, w in enumerate(action.sigma2)},
         }
     return doc
 

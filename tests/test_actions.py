@@ -1,6 +1,7 @@
 """Permutation groups on multigraphs: generation, harmonicity,
 orbit/stabilizer bookkeeping, and the dihedral orbit labeling."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from critgroups.actions import (
     NonHarmonicError,
     NotAutomorphismError,
     OrbitSizeError,
+    _dihedral_offender,
     _harmonic_offender,
+    _powers,
     _verify_labeling,
     check_automorphism,
     classify_dihedral_orbits,
@@ -90,10 +93,8 @@ def _offender_by_pair_stabilizers(g, group):
     return None
 
 
-def _harmonicity_cases():
-    """(name, graph, group) for every family constructor at small n and
-    for each of its subgroups the quotients use, plus hand-made actions
-    on both sides of the multiplicity rule."""
+def _harmonicity_families():
+    """(graph, action) for every family constructor at small n."""
     families = [
         circulant(5, [1, 2]),
         circulant(6, [1, 3]),  # step 3 doubles the edges on the reflection axis
@@ -103,16 +104,33 @@ def _harmonicity_cases():
         klein_example(),
         intro_counterexample(),
     ]
-    families += [chained_copies(*CHAIN_BASES[b], n) for b in CHAIN_BASES for n in (3, 4)]
-    for k, (g, act) in enumerate(families):
+    return families + [chained_copies(*CHAIN_BASES[b], n) for b in CHAIN_BASES for n in (3, 4)]
+
+
+def _star():
+    """The 3-leaf star c-x, c-y, c-z under (x y) and (y z): S_3 fixes c,
+    and (y z) fixes the simple edge c-x pointwise."""
+    star = Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], labels=["c", "x", "y", "z"])
+    return star, DihedralAction.build(star, [0, 2, 1, 3], [0, 1, 3, 2])
+
+
+def _looped_triangle():
+    triangle = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]
+    looped = Multigraph.from_edges(3, triangle, labels=["v1", "v2", "v3"])
+    return looped, DihedralAction.build(looped, [2, 1, 0], [1, 0, 2])
+
+
+def _harmonicity_cases():
+    """(name, graph, group) for every family constructor at small n and
+    for each of its subgroups the quotients use, plus hand-made actions
+    on both sides of the multiplicity rule."""
+    for k, (g, act) in enumerate(_harmonicity_families()):
         yield f"family{k}", g, list(act.elements)
         yield f"family{k}-rotations", g, act.rotation_subgroup()
         yield f"family{k}-sigma1", g, generate_group(g, [act.sigma1])
         yield f"family{k}-sigma2", g, generate_group(g, [act.sigma2])
-    # 3-leaf star c-x, c-y, c-z under (x y) and (y z): S_3 fixes c, and
-    # (y z) fixes the simple edge c-x pointwise.
-    star = Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], labels=["c", "x", "y", "z"])
-    yield "star", star, list(DihedralAction.build(star, [0, 2, 1, 3], [0, 1, 3, 2]).elements)
+    star, act = _star()
+    yield "star", star, list(act.elements)
     # (x y) fixes the pair u-v pointwise: harmonic exactly when the
     # multiplicity of u-v is even; loops change nothing.
     for mult in (1, 2, 3, 4):
@@ -120,9 +138,8 @@ def _harmonicity_cases():
             edges = [(0, 1)] * mult + [(0, 2), (0, 3)] + loops
             g = Multigraph.from_edges(4, edges, labels=["u", "v", "x", "y"])
             yield f"axis-pair-x{mult}-loops{len(loops)}", g, generate_group(g, [[0, 1, 3, 2]])
-    triangle = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]
-    looped = Multigraph.from_edges(3, triangle, labels=["v1", "v2", "v3"])
-    yield "looped-triangle", looped, list(DihedralAction.build(looped, [2, 1, 0], [1, 0, 2]).elements)
+    looped, act = _looped_triangle()
+    yield "looped-triangle", looped, list(act.elements)
 
 
 def _relabel(g, group, pi):
@@ -161,6 +178,95 @@ def test_require_harmonic_matches_pair_stabilizer_reference():
                 "is fixed pointwise by a stabilizer that cannot act freely on it"
             )
     assert verdicts == {True, False}
+
+
+def _with_edge_orbits(g, act, rng):
+    """g with one to three random edge orbits of the action added (loops
+    included), each one to three times, and the action rebuilt on it."""
+    edges = list(g.edges)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
+        orbit = {tuple(sorted((p[u], p[v]))) for p in act.elements}
+        edges += sorted(orbit) * rng.randint(1, 3)
+    g2 = Multigraph.from_edges(g.vertex_count, edges, g.labels)
+    return g2, DihedralAction.build(g2, act.sigma1, act.sigma2)
+
+
+def test_dihedral_offender_matches_the_element_scans():
+    """The cycle rule names the same first offender as the element-table
+    scan and the per-pair reference, on every dihedral case and on 40
+    seeded copies of each with random edge orbits added."""
+    rng = random.Random(28)
+    verdicts = []
+    for g, act in _harmonicity_families() + [_star(), _looped_triangle()]:
+        for trial in range(41):
+            g2, act2 = _with_edge_orbits(g, act, rng) if trial else (g, act)
+            expected = _offender_by_pair_stabilizers(g2, act2.elements)
+            assert _harmonic_offender(g2, act2.elements) == expected
+            assert _dihedral_offender(g2, act2) == expected
+            verdicts.append(expected is None)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
+
+
+def test_constructor_refusal_matches_the_element_scan(monkeypatch):
+    """chained_copies on the path a-m-b plus a pendant m-c, phi = (a b):
+    the reflection fixing copy 0 fixes the simple edge m@0-c@0.  The
+    constructor refuses it by the cycle rule with the edge and message
+    that require_harmonic's element scan gives."""
+    seen = []
+
+    def spy(g, action):
+        seen.append((g, action))
+        return _dihedral_offender(g, action)
+
+    monkeypatch.setattr("critgroups.families._dihedral_offender", spy)
+    base = Multigraph.from_edges(4, [(0, 1), (1, 2), (1, 3)], labels=["a", "m", "b", "c"])
+    with pytest.raises(NonHarmonicError) as new:
+        chained_copies(base, [2, 1, 0, 3], 0, 2, 3)
+    [(g, act)] = seen
+    with pytest.raises(NonHarmonicError) as old:
+        require_harmonic(g, act.elements)
+    assert new.value.edge == old.value.edge == (1, 2)
+    assert str(new.value) == str(old.value) == (
+        "action is not harmonic: edge m@0-c@0 "
+        "is fixed pointwise by a stabilizer that cannot act freely on it"
+    )
+
+
+def test_permutation_primitives_on_zero_to_two_vertices():
+    """On 0-, 1- and 2-vertex permutations (where an itemgetter takes no
+    index or returns a scalar) compose, _powers, generate_group and
+    DihedralAction.build give what their list-comprehension definitions
+    give; a 3-vertex edgeless graph checks build's element list."""
+
+    def compose_ref(outer, inner):
+        return tuple([outer[v] for v in inner])
+
+    def powers_ref(p):
+        out, q = [identity_perm(len(p))], p
+        while q != out[0]:
+            out.append(q)
+            q = compose_ref(p, q)
+        return out
+
+    for nv in range(3):
+        g = Multigraph.from_edges(nv, [])
+        perms = list(itertools.permutations(range(nv)))
+        for p in perms:
+            assert _powers(p) == powers_ref(p)
+            for q in perms:
+                assert compose(p, q) == compose_ref(p, q)
+        assert generate_group(g, perms) == perms
+        assert generate_group(g, []) == [identity_perm(nv)]
+        with pytest.raises(ValueError, match="^sigma1 is the identity$"):
+            DihedralAction.build(g, identity_perm(nv), perms[-1])
+    with pytest.raises(ValueError, match="^sigma2 . sigma1 must have order at least 2$"):
+        DihedralAction.build(Multigraph.from_edges(2, [(0, 1)]), [1, 0], [1, 0])
+    s1, s2 = (1, 0, 2), (0, 2, 1)
+    act = DihedralAction.build(Multigraph.from_edges(3, []), s1, s2)
+    rotations = powers_ref(compose_ref(s2, s1))
+    assert act.elements == tuple(sorted(rotations + [compose_ref(r, s1) for r in rotations]))
+    assert act.n == 3
 
 
 def test_harmonicity_examples():

@@ -11,7 +11,7 @@ import pytest
 
 import critgroups
 from critgroups import abelian, actions, decomposition, intmatrix
-from critgroups.abelian import Cokernel, FinAbGroup, is_isomorphic, lattice_quotient
+from critgroups.abelian import Cokernel, FinAbGroup, lattice_quotient
 from critgroups.cli import main
 from critgroups.decomposition import (
     DecompositionContext,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from critgroups.actions import NonHarmonicError, generate_group
+from critgroups.actions import NonHarmonicError
 from critgroups.divisors import critical_group, is_principal
 from critgroups.families import circulant, concentric_polygon, intro_counterexample, klein_example
 from critgroups.multigraph import Multigraph, laplacian
