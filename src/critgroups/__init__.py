@@ -27,7 +27,7 @@ _EXPORTS = {
     "multigraph": (
         "DisconnectedGraphError", "Multigraph", "laplacian", "reduced_laplacian", "spanning_tree_count",
     ),
-    "quotients": ("QuotientResult", "is_pullback", "pullback", "quotient_graph", "tree_reduce"),
+    "quotients": ("QuotientResult", "is_pullback", "pullback", "quotient_graph"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -78,10 +78,6 @@ class FinAbGroup(namedtuple("FinAbGroup", "factors")):
     def __new__(cls, factors: Sequence[int]):
         return super().__new__(cls, canonical_chain(factors))
 
-    @classmethod
-    def trivial(cls) -> "FinAbGroup":
-        return cls(())
-
     @property
     def order(self) -> int:
         return prod(self.factors) if self.factors else 1
@@ -96,9 +92,6 @@ class FinAbGroup(namedtuple("FinAbGroup", "factors")):
 
     def __str__(self) -> str:
         return chain_text(self.factors)
-
-    def to_json(self) -> dict:
-        return {"invariant_factors": list(self.factors)}
 
 
 def is_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:

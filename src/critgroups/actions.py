@@ -181,14 +181,11 @@ class DihedralAction(NamedTuple):
     n: int
     sigma1: Perm
     sigma2: Perm
-    elements: tuple[Perm, ...]
 
     @classmethod
     def build(cls, g: Multigraph, sigma1: Sequence[int], sigma2: Sequence[int]) -> "DihedralAction":
         """Two distinct non-identity involutions generate a dihedral group
-        of order exactly 2n, n the order of rho = sigma2 . sigma1; once
-        they are checked, its elements are written down as rho^k and
-        rho^k . sigma1 for 0 <= k < n."""
+        of order exactly 2n, n the order of rho = sigma2 . sigma1."""
         s1 = check_automorphism(g, sigma1)
         s2 = check_automorphism(g, sigma2)
         ident = identity_perm(g.vertex_count)
@@ -199,9 +196,7 @@ class DihedralAction(NamedTuple):
                 raise ValueError(f"{name} is not an involution: its square is not the identity")
         if s1 == s2:
             raise ValueError("sigma2 . sigma1 must have order at least 2")
-        rotations = _powers(compose(s2, s1))
-        elements = sorted(rotations + list(map(_then(s1), rotations)))
-        return cls(n=len(rotations), sigma1=s1, sigma2=s2, elements=tuple(elements))
+        return cls(n=len(_powers(compose(s2, s1))), sigma1=s1, sigma2=s2)
 
     @property
     def rotation(self) -> Perm:
@@ -210,6 +205,13 @@ class DihedralAction(NamedTuple):
 
     def rotation_subgroup(self) -> list[Perm]:
         return _powers(self.rotation)
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """The 2n group elements rho^k and rho^k . sigma1, 0 <= k < n, sorted;
+        written down on each read."""
+        rotations = self.rotation_subgroup()
+        return tuple(sorted(rotations + list(map(_then(self.sigma1), rotations))))
 
 
 class PinnedOrbit(NamedTuple):

@@ -1,7 +1,6 @@
 """Constructors for the graph families used throughout: circulants,
 chained copies of a base graph, concentric polygons, the complete
-bipartite Klein example, the five-vertex doubled-edge counterexample,
-and the fan-shaped circulant quotients.
+bipartite Klein example and the five-vertex doubled-edge counterexample.
 
 Each constructor returns the graph together with its dihedral action
 (two involutions), already validated: automorphisms, involutions,
@@ -185,79 +184,14 @@ def klein_example() -> tuple[Multigraph, DihedralAction]:
     return _harmonic_action(g, [1, 0, 2, 3, 4, 5], [0, 1, 4, 5, 2, 3])
 
 
-# Edge labels of the five-vertex counterexample, with the two given edge
-# permutations; the vertex action is induced from them.
-_INTRO_EDGES = {
-    "a1": (0, 1), "a2": (0, 1),
-    "b1": (0, 2), "b2": (0, 2),
-    "c1": (0, 3), "c2": (0, 3),
-    "d1": (1, 4), "d2": (1, 4),
-    "e1": (2, 4), "e2": (2, 4),
-    "f1": (3, 4), "f2": (3, 4),
-}
-_INTRO_SIGMA1_EDGES = {
-    "a1": "a2", "a2": "a1", "b1": "c2", "c2": "b1", "b2": "c1", "c1": "b2",
-    "d1": "d2", "d2": "d1", "e1": "f2", "f2": "e1", "e2": "f1", "f1": "e2",
-}
-_INTRO_SIGMA2_EDGES = {
-    "a1": "b2", "b2": "a1", "a2": "b1", "b1": "a2", "c1": "c2", "c2": "c1",
-    "d1": "e2", "e2": "d1", "d2": "e1", "e1": "d2", "f1": "f2", "f2": "f1",
-}
-
-
-def _vertex_perm_from_edge_map(edge_map: dict[str, str]) -> list[int]:
-    """Vertex permutation induced by a permutation of labeled edges."""
-    img = {}
-    for e, f in edge_map.items():
-        (u1, v1), (u2, v2) = _INTRO_EDGES[e], _INTRO_EDGES[f]
-        # endpoints 0/4 (the hubs) are fixed by every symmetry here, which
-        # orients each edge and determines the vertex images
-        img.setdefault(u1, u2)
-        img.setdefault(v1, v2)
-        if img[u1] != u2 or img[v1] != v2:
-            raise ValueError("edge map does not induce a vertex permutation")
-    return [img[v] for v in range(5)]
-
-
 def intro_counterexample() -> tuple[Multigraph, DihedralAction]:
     """Five vertices v1, x1, x2, x3, v2 with doubled edges from each hub
     to each middle vertex.  The action fixes both hubs, so its orbits
     are too small for the decomposition machinery; it is still harmonic
-    because the edge doubling lets stabilizers act freely.
+    because the edge doubling lets stabilizers act freely.  The paper
+    gives the involutions as permutations of the twelve edges; on the
+    vertices they are (x2 x3) and (x1 x2).
     """
-    g = Multigraph.from_edges(
-        5,
-        sorted(_INTRO_EDGES.values()),
-        labels=["v1", "x1", "x2", "x3", "v2"],
-    )
-    sigma1 = _vertex_perm_from_edge_map(_INTRO_SIGMA1_EDGES)
-    sigma2 = _vertex_perm_from_edge_map(_INTRO_SIGMA2_EDGES)
-    return _harmonic_action(g, sigma1, sigma2)
-
-
-def h_graph(k: int) -> Multigraph:
-    """Fan on v1..vk plus an end vertex: a path with doubled last edge
-    and chords two steps ahead (the chord from v_{k-1} lands on the end
-    vertex).  Spanning trees count 2, 5, 13, ... as k grows."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    end = k  # index of the extra vertex
-    edges = []
-    for i in range(k - 1):
-        edges.append((i, i + 1))
-    edges.append((k - 1, end))
-    edges.append((k - 1, end))
-    for i in range(k - 1):
-        edges.append((i, i + 2))  # i+2 == end exactly for the last chord
-    labels = [f"v{i + 1}" for i in range(k)] + ["vinf"]
-    return Multigraph.from_edges(k + 1, edges, labels=labels)
-
-
-def fibonacci(n: int) -> int:
-    """F(1) = F(2) = 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    edges = [e for m in (1, 2, 3) for e in [(0, m), (m, 4)] * 2]
+    g = Multigraph.from_edges(5, edges, labels=["v1", "x1", "x2", "x3", "v2"])
+    return _harmonic_action(g, [0, 1, 3, 2, 4], [0, 2, 1, 3, 4])

@@ -58,10 +58,6 @@ class IntMatrix:
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
         return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
@@ -89,21 +85,6 @@ class IntMatrix:
             self.cols + other.cols,
             [x for i in range(self.rows) for x in self.row(i) + other.row(i)],
         )
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                [
-                    sum(ri[k] * ot[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(out, other.cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         vec = int_tuple(vec, "vector entry")

@@ -10,7 +10,9 @@ Repeated pairs encode parallel edges and ["a", "a"] encodes a loop; the
 "actions" block is optional and maps vertex labels to vertex labels.
 Labels, edge endpoints and action images must be JSON strings.  No other
 key is read, so none is accepted: a misspelt "edge" or "action" is an
-error, not an empty edge list or a missing action.  A divisor document
+error, not an empty edge list or a missing action.  Nor is a key given
+twice in one object, which would be read as its last value, or a
+document nested past the decoder's recursion limit.  A divisor document
 maps vertex labels to integer chip counts, {"a": 2, "b": -2}; a vertex
 left out holds no chips.
 """
@@ -98,14 +100,26 @@ def _require_labels(values, what: str) -> None:
             raise GraphFormatError(f"{what} {x!r} is not a string")
 
 
+def _object_once_per_key(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a key that it gives twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise GraphFormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_graph(path: str) -> tuple[Multigraph, DihedralAction | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object_once_per_key)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise GraphFormatError(f"JSON nested too deeply: {exc}") from exc
     return graph_from_json(doc)
 
 

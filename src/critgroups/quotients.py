@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .actions import Perm, generate_group, orbits, require_harmonic
+from .actions import generate_group, orbits, require_harmonic
 from .intmatrix import int_tuple
 from .multigraph import Multigraph
 
@@ -18,23 +18,16 @@ from .multigraph import Multigraph
 class QuotientResult(NamedTuple):
     """A harmonic quotient together with its covering data.
 
-    ``vertex_map`` sends each source vertex to its quotient vertex and
-    ``multiplicity`` is the horizontal multiplicity |stabilizer(v)| =
-    |group| / orbit size.
+    ``order`` is |group|, ``vertex_map`` sends each source vertex to its
+    quotient vertex and ``multiplicity`` is the horizontal multiplicity
+    |stabilizer(v)| = |group| / orbit size.
     """
 
     source: Multigraph
-    group: tuple[Perm, ...]
+    order: int
     quotient: Multigraph
     vertex_map: tuple[int, ...]
     multiplicity: tuple[int, ...]
-
-    @property
-    def group_order(self) -> int:
-        return len(self.group)
-
-    def fiber(self, qv: int) -> list[int]:
-        return [v for v, img in enumerate(self.vertex_map) if img == qv]
 
 
 def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientResult:
@@ -75,7 +68,7 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
     mult = tuple(order // len(orbs[orbit_index[v]]) for v in range(g.vertex_count))
     return QuotientResult(
         source=g,
-        group=elements,
+        order=order,
         quotient=quotient,
         vertex_map=tuple(orbit_index),
         multiplicity=mult,
@@ -120,46 +113,3 @@ def pullback_witness(q: QuotientResult, delta: Sequence[int]) -> list[int] | Non
 
 def is_pullback(q: QuotientResult, delta: Sequence[int]) -> bool:
     return pullback_witness(q, delta) is not None
-
-
-def tree_reduce(q: QuotientResult, delta: Sequence[int]) -> list[int]:
-    """Firing script, constant on orbits, sending delta to zero.
-
-    Requires the quotient to be a tree and delta to satisfy the
-    pullback criterion.  Works leaf-inward on the quotient: the firing
-    count across each quotient edge is the accumulated weight hanging
-    below it, then the script lifts through the vertex map.
-    """
-    tree = q.quotient
-    nq = tree.vertex_count
-    if not tree.is_tree():
-        raise ValueError("quotient is not a tree")
-    dhat = pullback_witness(q, delta)
-    if dhat is None:
-        raise ValueError("divisor fails the pullback criterion")
-
-    adj: list[list[int]] = [[] for _ in range(nq)]
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * nq
-    order = [0]
-    seen = {0}
-    for u in order:
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                order.append(w)
-
-    # subtree sums, leaves first
-    subtree = list(dhat)
-    for u in reversed(order[1:]):
-        subtree[parent[u]] += subtree[u]
-    shat = [0] * nq
-    for u in order[1:]:
-        shat[u] = shat[parent[u]] + subtree[u]
-
-    script = [shat[q.vertex_map[v]] for v in range(q.source.vertex_count)]
-    low = min(script)
-    return [x - low for x in script]

@@ -62,8 +62,6 @@ from critgroups.families import (
     chained_copies,
     circulant,
     concentric_polygon,
-    fibonacci,
-    h_graph,
     intro_counterexample,
     klein_example,
 )
@@ -77,7 +75,8 @@ from critgroups.intmatrix import (
 from critgroups.multigraph import Multigraph, spanning_tree_count
 from critgroups.oracles import brute_force_spanning_trees
 from critgroups.quotients import is_pullback, pullback, quotient_graph
-from test_intmatrix import replayed_hermite_transform, replayed_smith_transforms
+from test_families import fibonacci, h_graph
+from test_intmatrix import matmul, replayed_hermite_transform, replayed_smith_transforms
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -624,15 +623,15 @@ def test_criterion_7_linear_algebra_suite():
         u, uinv = replayed_smith_transforms(snf)
         # U*M*V == S for a unimodular V exactly when U*M and S span the
         # same column lattice, whose canonical basis is the column HNF.
-        ok &= hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+        ok &= hermite_normal_form(matmul(u, m)).H == hermite_normal_form(snf.S).H
         ok &= abs(det_bareiss(u)) == 1
-        ok &= u * uinv == IntMatrix.identity(r)
+        ok &= matmul(u, uinv) == IntMatrix.identity(r)
         diag = [snf.S[i, i] for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 ok &= a != 0 and b % a == 0
         hnf = hermite_normal_form(m)
-        ok &= m * replayed_hermite_transform(hnf) == hnf.H
+        ok &= matmul(m, replayed_hermite_transform(hnf)) == hnf.H
         ok &= hermite_normal_form(hnf.H).H == hnf.H
     # matrix-tree versus enumeration on every small graph the suite uses
     small = [

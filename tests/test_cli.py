@@ -148,17 +148,39 @@ _MALFORMED = {
         "edges": _TRIANGLE_EDGES,
         "actions": {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": _TRIANGLE_SIGMA2, "sigma3": _TRIANGLE_SIGMA2},
     },
+    # A key given twice, at any level, is refused, not read as its last
+    # value; these are JSON texts, as a dict cannot repeat a key.  Read
+    # by their last values, the first is a disconnected path (exit 3) and
+    # the others are the valid triangle with its action.
+    "edges_repeated": '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], "edges": [["a", "b"]]}',
+    "edges_repeated_with_actions": (
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b"]], "edges": [["a", "b"], ["b", "c"], ["c", "a"]],'
+        ' "actions": {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": {"a": "b", "b": "a", "c": "c"}}}'
+    ),
+    "actions_key_repeated": (
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]], "actions": {'
+        '"sigma1": {"a": "b", "b": "a", "c": "c"}, "sigma1": {"a": "a", "b": "c", "c": "b"},'
+        ' "sigma2": {"a": "b", "b": "a", "c": "c"}}}'
+    ),
+    "sigma_key_repeated": (
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]], "actions": {'
+        '"sigma1": {"a": "a", "b": "b", "b": "c", "c": "b"}, "sigma2": {"a": "b", "b": "a", "c": "c"}}}'
+    ),
+    # nesting past the decoder's recursion limit is a parse error, not a
+    # RecursionError traceback
+    "nested_too_deep": "[" * 200_000 + "]" * 200_000,
 }
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_graph_exit_2(capsys, tmp_path, command, case):
+    doc = _MALFORMED[case]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_MALFORMED[case]))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, command, str(path))
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])

@@ -45,7 +45,7 @@ from critgroups.families import (
 from critgroups.intmatrix import IntMatrix, Lattice
 from critgroups.jsonio import graph_to_json
 from critgroups.multigraph import Multigraph, laplacian
-from critgroups.quotients import is_pullback, pullback, quotient_graph, tree_reduce
+from critgroups.quotients import is_pullback, pullback, quotient_graph
 
 
 def chain(base_name, n):
@@ -662,7 +662,6 @@ def test_membership_rejects_non_int_divisors(d):
     queries = [pair_sum_conditions, triple_sum_conditions, split_pair_sum, split_triple_sum]
     queries += [lambda ctx, d, i=i: pullback_conditions(ctx, d, i) for i in (1, 2, 3)]
     queries += [lambda ctx, d, i=i: is_pullback(ctx.quotient(i), d) for i in (1, 2, 3)]
-    queries.append(lambda ctx, d: tree_reduce(ctx.quotient(3), d))
     for query in queries:
         with pytest.raises(TypeError, match="is not an int"):
             query(C7, d)

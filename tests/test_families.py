@@ -1,5 +1,6 @@
 """Family constructors: shapes, symmetry validation, and the values
-that pin each construction down."""
+that pin each construction down; and the fan graphs with their Fibonacci
+tree counts, as references for the circulant quotients."""
 
 import pytest
 
@@ -10,13 +11,39 @@ from critgroups.families import (
     chained_copies,
     circulant,
     concentric_polygon,
-    fibonacci,
-    h_graph,
     intro_counterexample,
     klein_example,
 )
 from critgroups.multigraph import DisconnectedGraphError, Multigraph, spanning_tree_count
 from critgroups.quotients import quotient_graph
+
+
+def h_graph(k: int) -> Multigraph:
+    """Fan on v1..vk plus an end vertex: a path with doubled last edge
+    and chords two steps ahead (the chord from v_{k-1} lands on the end
+    vertex).  Spanning trees count 2, 5, 13, ... as k grows."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    end = k  # index of the extra vertex
+    edges = []
+    for i in range(k - 1):
+        edges.append((i, i + 1))
+    edges.append((k - 1, end))
+    edges.append((k - 1, end))
+    for i in range(k - 1):
+        edges.append((i, i + 2))  # i+2 == end exactly for the last chord
+    labels = [f"v{i + 1}" for i in range(k)] + ["vinf"]
+    return Multigraph.from_edges(k + 1, edges, labels=labels)
+
+
+def fibonacci(n: int) -> int:
+    """F(1) = F(2) = 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
 
 
 def test_fibonacci():
@@ -96,7 +123,7 @@ def test_circulant_quotient_matches_h_graph():
         hk = h_graph(k)
         mapping = {}
         for qv in range(q.quotient.vertex_count):
-            m = min(q.fiber(qv))
+            m = min(v for v, img in enumerate(q.vertex_map) if img == qv)
             if m == k:
                 mapping[qv] = 0       # the reflection-fixed vertex
             elif m == 0:
@@ -155,15 +182,50 @@ def test_klein_shapes():
     assert sorted(q3.quotient.pair_multiplicities().values()) == [2, 2]
 
 
+# The five-vertex counterexample as the paper gives it: labeled edges
+# and the two involutions as permutations of them.
+_INTRO_EDGES = {
+    "a1": (0, 1), "a2": (0, 1),
+    "b1": (0, 2), "b2": (0, 2),
+    "c1": (0, 3), "c2": (0, 3),
+    "d1": (1, 4), "d2": (1, 4),
+    "e1": (2, 4), "e2": (2, 4),
+    "f1": (3, 4), "f2": (3, 4),
+}
+_INTRO_SIGMA1_EDGES = {
+    "a1": "a2", "a2": "a1", "b1": "c2", "c2": "b1", "b2": "c1", "c1": "b2",
+    "d1": "d2", "d2": "d1", "e1": "f2", "f2": "e1", "e2": "f1", "f1": "e2",
+}
+_INTRO_SIGMA2_EDGES = {
+    "a1": "b2", "b2": "a1", "a2": "b1", "b1": "a2", "c1": "c2", "c2": "c1",
+    "d1": "e2", "e2": "d1", "d2": "e1", "e1": "d2", "f1": "f2", "f2": "f1",
+}
+
+
+def _vertex_perm_from_edge_map(edge_map):
+    """Vertex permutation induced by a permutation of labeled edges."""
+    img = {}
+    for e, f in edge_map.items():
+        (u1, v1), (u2, v2) = _INTRO_EDGES[e], _INTRO_EDGES[f]
+        # endpoints 0/4 (the hubs) are fixed by every symmetry here, which
+        # orients each edge and determines the vertex images
+        img.setdefault(u1, u2)
+        img.setdefault(v1, v2)
+        if img[u1] != u2 or img[v1] != v2:
+            raise ValueError("edge map does not induce a vertex permutation")
+    return tuple(img[v] for v in range(5))
+
+
 def test_intro_counterexample_values():
     g, act = intro_counterexample()
     assert g.vertex_count == 5 and len(g.edges) == 12
+    assert g.edges == Multigraph.from_edges(5, _INTRO_EDGES.values()).edges
     assert spanning_tree_count(g) == 192
     assert critical_group(g).group.factors == (2, 2, 4, 12)
     # the induced vertex maps: sigma1 swaps the second and third middles,
     # sigma2 the first and second; hubs stay put
-    assert act.sigma1 == (0, 1, 3, 2, 4)
-    assert act.sigma2 == (0, 2, 1, 3, 4)
+    assert act.sigma1 == (0, 1, 3, 2, 4) == _vertex_perm_from_edge_map(_INTRO_SIGMA1_EDGES)
+    assert act.sigma2 == (0, 2, 1, 3, 4) == _vertex_perm_from_edge_map(_INTRO_SIGMA2_EDGES)
     assert act.n == 3
     require_harmonic(g, act.elements)
 

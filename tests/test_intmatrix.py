@@ -16,7 +16,6 @@ from critgroups.families import (
     chained_copies,
     circulant,
     concentric_polygon,
-    h_graph,
     intro_counterexample,
     klein_example,
 )
@@ -31,6 +30,7 @@ from critgroups.intmatrix import (
     solve_in_column_span,
 )
 from critgroups.multigraph import Multigraph, reduced_laplacian
+from test_families import h_graph
 
 CYCLE4 = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
@@ -43,6 +43,16 @@ def bounded_lattice_search(m, vec, bound):
         if m.apply(list(coeffs)) == target:
             return list(coeffs)
     return None
+
+
+def matmul(a, b):
+    """The product a·b, for the U·M·V and M·T identities; it keeps the
+    shape when the inner dimension or either outer one is 0."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = [b.col(j) for j in range(b.cols)]
+    rows = [[sum(x * y for x, y in zip(a.row(i), c)) for c in cols] for i in range(a.rows)]
+    return IntMatrix.from_rows(rows, b.cols)
 
 
 def random_matrix(rng, rmax=6, cmax=6, span=9):
@@ -147,9 +157,9 @@ def test_smith_normal_form_invariants_bulk():
         u, uinv = replayed_smith_transforms(snf)
         # U*M*V == S for a unimodular V exactly when U*M and S span the
         # same column lattice, whose canonical basis is the column HNF.
-        assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+        assert hermite_normal_form(matmul(u, m)).H == hermite_normal_form(snf.S).H
         assert abs(det_bareiss(u)) == 1
-        assert u * uinv == IntMatrix.identity(m.rows)
+        assert matmul(u, uinv) == IntMatrix.identity(m.rows)
         diag = [snf.S[i, i] for i in range(min(m.rows, m.cols))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -350,7 +360,7 @@ def test_hermite_invariants_bulk():
         m = random_matrix(rng)
         hnf = hermite_normal_form(m)
         t = replayed_hermite_transform(hnf)
-        assert m * t == hnf.H
+        assert matmul(m, t) == hnf.H
         assert abs(det_bareiss(t)) == 1
         again = hermite_normal_form(hnf.H)
         assert again.H == hnf.H  # idempotent
@@ -500,8 +510,8 @@ def test_from_rows_keeps_its_shape_when_empty():
     assert (u, snf.S, uinv) == (IntMatrix(0, 0, []), IntMatrix(0, 3, []), IntMatrix(0, 0, []))
     hnf = hermite_normal_form(IntMatrix(2, 0, []))
     assert (hnf.H, replayed_hermite_transform(hnf)) == (IntMatrix(2, 0, []), IntMatrix(0, 0, []))
-    assert IntMatrix(0, 2, []) * IntMatrix.identity(2) == IntMatrix(0, 2, [])
-    assert IntMatrix(2, 0, []) * IntMatrix(0, 3, []) == IntMatrix.zero(2, 3)
+    assert matmul(IntMatrix(0, 2, []), IntMatrix.identity(2)) == IntMatrix(0, 2, [])
+    assert matmul(IntMatrix(2, 0, []), IntMatrix(0, 3, [])) == IntMatrix(2, 3, [0] * 6)
 
 
 def test_integer_kernel():
@@ -544,8 +554,8 @@ def test_smith_row_transform_spans_the_smith_lattice(m):
     column lattice; the column HNF is that lattice's canonical basis."""
     snf = smith_normal_form(m)
     u, uinv = replayed_smith_transforms(snf)
-    assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
-    assert u * uinv == IntMatrix.identity(m.rows)
+    assert hermite_normal_form(matmul(u, m)).H == hermite_normal_form(snf.S).H
+    assert matmul(u, uinv) == IntMatrix.identity(m.rows)
 
 
 @st.composite
@@ -590,8 +600,8 @@ def assert_smith_matches_reference(m):
     snf = smith_normal_form(m)
     assert snf.S == s
     u, uinv = replayed_smith_transforms(snf)
-    assert u * uinv == IntMatrix.identity(m.rows)
-    assert hermite_normal_form(u * m).H == hermite_normal_form(snf.S).H
+    assert matmul(u, uinv) == IntMatrix.identity(m.rows)
+    assert hermite_normal_form(matmul(u, m)).H == hermite_normal_form(snf.S).H
     n = m.rows
     assert _walk_log(snf._row_ops, IntMatrix.identity(n).to_rows()) == [u.col(i) for i in range(n)]
     assert _walk_log(snf._row_ops, IntMatrix.identity(n).to_rows(), inverse=True) == uinv.to_rows()

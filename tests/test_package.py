@@ -41,7 +41,7 @@ EXPORTS = {
         "reduced_laplacian",
         "spanning_tree_count",
     ],
-    "quotients": ["QuotientResult", "is_pullback", "pullback", "quotient_graph", "tree_reduce"],
+    "quotients": ["QuotientResult", "is_pullback", "pullback", "quotient_graph"],
 }
 
 
@@ -51,7 +51,7 @@ LOADED = "sorted(m for m in sys.modules if m.startswith('critgroups'))"
 
 def test_export_table():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 39
+    assert len(names) == 38
     assert sorted(names) == sorted(critgroups.__all__)
     listing = dir(critgroups)
     for module, names in EXPORTS.items():

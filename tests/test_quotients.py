@@ -5,17 +5,61 @@ import random
 
 import pytest
 
-from critgroups.actions import NonHarmonicError
+from critgroups.actions import NonHarmonicError, generate_group
 from critgroups.divisors import critical_group, is_principal
 from critgroups.families import circulant, concentric_polygon, intro_counterexample, klein_example
 from critgroups.multigraph import Multigraph, laplacian
-from critgroups.quotients import (
-    is_pullback,
-    pullback,
-    pullback_witness,
-    quotient_graph,
-    tree_reduce,
-)
+from critgroups.quotients import is_pullback, pullback, pullback_witness, quotient_graph
+from test_actions import _harmonicity_families
+
+
+def fiber(q, qv):
+    """The source vertices over quotient vertex qv."""
+    return [v for v, img in enumerate(q.vertex_map) if img == qv]
+
+
+def tree_reduce(q, delta):
+    """Firing script, constant on orbits, sending delta to zero: the
+    paper's constructive argument for a tree quotient, as a reference.
+
+    Requires the quotient to be a tree and delta to satisfy the
+    pullback criterion.  Works leaf-inward on the quotient: the firing
+    count across each quotient edge is the accumulated weight hanging
+    below it, then the script lifts through the vertex map.
+    """
+    tree = q.quotient
+    nq = tree.vertex_count
+    if not tree.is_tree():
+        raise ValueError("quotient is not a tree")
+    dhat = pullback_witness(q, delta)
+    if dhat is None:
+        raise ValueError("divisor fails the pullback criterion")
+
+    adj = [[] for _ in range(nq)]
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * nq
+    order = [0]
+    seen = {0}
+    for u in order:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                order.append(w)
+
+    # subtree sums, leaves first
+    subtree = list(dhat)
+    for u in reversed(order[1:]):
+        subtree[parent[u]] += subtree[u]
+    shat = [0] * nq
+    for u in order[1:]:
+        shat[u] = shat[parent[u]] + subtree[u]
+
+    script = [shat[q.vertex_map[v]] for v in range(q.source.vertex_count)]
+    low = min(script)
+    return [x - low for x in script]
 
 
 def zero_div(q, rng, span=4):
@@ -63,11 +107,21 @@ def test_fiber_sizes_match_multiplicity():
     g, act = circulant(9, [1, 3])
     for gens in ([act.sigma1], [act.sigma2], act.rotation_subgroup(), act.elements):
         q = quotient_graph(g, gens)
-        order = q.group_order
+        order = q.order
         for qv in range(q.quotient.vertex_count):
-            fib = q.fiber(qv)
+            fib = fiber(q, qv)
             for v in fib:
                 assert len(fib) == order // q.multiplicity[v]
+
+
+def test_quotient_order_is_the_closure_size():
+    """The action's written-down elements are the closure of its two
+    involutions, and a quotient records the order of the group its
+    generators close to."""
+    for g, act in _harmonicity_families():
+        assert act.elements == tuple(generate_group(g, [act.sigma1, act.sigma2]))
+        for gens in ([act.sigma1], [act.sigma2], act.rotation_subgroup(), [act.sigma1, act.sigma2]):
+            assert quotient_graph(g, gens).order == len(generate_group(g, gens))
 
 
 def test_pullback_degree_and_witness():
@@ -78,7 +132,7 @@ def test_pullback_degree_and_witness():
         nq = q.quotient.vertex_count
         dhat = [rng.randint(-4, 4) for _ in range(nq)]
         delta = pullback(q, dhat)
-        assert sum(delta) == q.group_order * sum(dhat)
+        assert sum(delta) == q.order * sum(dhat)
         if sum(dhat) == 0:
             assert is_pullback(q, delta)
             assert pullback_witness(q, delta) == dhat
@@ -146,7 +200,7 @@ def test_tree_reduce():
         script = tree_reduce(qhat, delta)
         assert laplacian(g).apply(script) == delta
         for qv in range(qhat.quotient.vertex_count):
-            fib = qhat.fiber(qv)
+            fib = fiber(qhat, qv)
             assert len({script[v] for v in fib}) == 1
         assert min(script) == 0
     # zero divisor reduces by the zero script

@@ -15,7 +15,6 @@ from critgroups.multigraph import Multigraph
 from critgroups.quotients import QuotientResult
 
 P3 = Multigraph(3, ((0, 1), (1, 2)))
-IDENT, FLIP = (0, 1, 2), (2, 1, 0)
 CHECK = CheckResult("kernel_structure", True, {"kernel": [2]}, {"kernel": [2]}, ["note"])
 
 # name -> (class, every field by keyword in field order, one field changed)
@@ -27,7 +26,7 @@ RECORDS = {
     ),
     "DihedralAction": (
         DihedralAction,
-        {"n": 1, "sigma1": FLIP, "sigma2": IDENT, "elements": (IDENT, FLIP)},
+        {"n": 4, "sigma1": (0, 3, 2, 1), "sigma2": (1, 0, 3, 2)},
         {"n": 2},
     ),
     "PinnedOrbit": (PinnedOrbit, {"row": (0, 1), "flipped": False}, {"flipped": True}),
@@ -47,7 +46,7 @@ RECORDS = {
         QuotientResult,
         {
             "source": P3,
-            "group": (IDENT, FLIP),
+            "order": 2,
             "quotient": Multigraph(2, ((0, 1),)),
             "vertex_map": (0, 1, 0),
             "multiplicity": (1, 2, 1),

@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (101 runs):
+The run set (103 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -43,6 +43,11 @@ The run set (101 runs):
     ``edge`` for ``edges``, the path a-m-b with ``action`` for
     ``actions`` (its (a m) is no automorphism), and the triangle with a
     ``sigma3`` table beside ``sigma1`` and ``sigma2``;
+  * ``--format json compute`` on two texts the JSON decoder reads but
+    the format refuses (exit 2): the path a-b-c whose ``edges`` key is
+    given again with the single edge a-b (read by its last value, it
+    would be disconnected), and 200 000 nested lists (past the
+    decoder's recursion limit);
   * ``--format json verify`` and text ``verify`` on K_{2,6} with hubs
     x1, x2 and rim a1, a2, b1, b2, c1, c2 under (x1 x2)(c1 c2) and
     (a1 b1)(a2 b2)(c1 c2), whose orbit {c1, c2} is stabilized by the
@@ -240,6 +245,13 @@ UNKNOWN_KEY = {
     "sigma3": {**_TRIANGLE, "actions": {**_TRIANGLE_FLIPS, "sigma3": _TRIANGLE_FLIPS["sigma1"]}},
 }
 
+# Written as text: a dict cannot repeat a key, and json.dumps cannot
+# write lists nested this deep.
+REFUSED_TEXT = {
+    "edges_repeated": '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], "edges": [["a", "b"]]}',
+    "nested_too_deep": "[" * 200_000 + "]" * 200_000,
+}
+
 
 def file_name(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name) + ".json"
@@ -262,7 +274,7 @@ def run_set() -> list[tuple[str, ...]]:
         runs.append(("compute", file_name(name)))
     for name in REJECTED:
         runs.append(("--format", "json", "verify", file_name(name)))
-    for name in UNKNOWN_KEY:
+    for name in [*UNKNOWN_KEY, *REFUSED_TEXT]:
         runs.append(("--format", "json", "compute", file_name(name)))
     f = file_name("rotation_stabilized_pair")
     runs += [("--format", "json", "verify", f), ("verify", f)]
@@ -302,6 +314,8 @@ def main(argv: list[str]) -> int:
         (graphs / file_name(name)).write_text(made.stdout)
     for name, doc in {**WRITTEN, **UNKNOWN_KEY}.items():
         (graphs / file_name(name)).write_text(json.dumps(doc))
+    for name, text in REFUSED_TEXT.items():
+        (graphs / file_name(name)).write_text(text)
     runs = run_set()
     for args in runs:
         done = critgroups(args, graphs)
