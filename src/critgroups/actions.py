@@ -10,7 +10,7 @@ machinery.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -136,6 +136,19 @@ def _harmonic_offender(
     return None
 
 
+def _cycles(p: Perm) -> tuple[list[int], list[int], list[int]]:
+    """Per vertex: the length of its cycle under p, its place there, and the cycle's start."""
+    size, pos, root = [0] * len(p), [0] * len(p), [0] * len(p)
+    for start in range(len(p)):
+        if not size[start]:
+            cyc = [start]
+            while p[cyc[-1]] != start:
+                cyc.append(p[cyc[-1]])
+            for i, v in enumerate(cyc):
+                size[v], pos[v], root[v] = len(cyc), i, start
+    return size, pos, root
+
+
 def _dihedral_offender(g: Multigraph, action: DihedralAction) -> tuple[int, int] | None:
     """``_harmonic_offender(g, action.elements)`` in O(V + E), from the cycles of
     rho = sigma2 . sigma1: rho^k fixes v iff L_v | k (L_v: size of v's cycle), and
@@ -143,14 +156,7 @@ def _dihedral_offender(g: Multigraph, action: DihedralAction) -> tuple[int, int]
     Over 0 <= k < n, a pair (u, v) is fixed by n / lcm(L_u, L_v) rotations, and
     by as many reflections if o_u = o_v mod gcd(L_u, L_v), else by none."""
     rho, s1 = action.rotation, action.sigma1
-    size, pos, root = [0] * len(rho), [0] * len(rho), [0] * len(rho)
-    for start in range(len(rho)):
-        if not size[start]:
-            cyc = [start]
-            while rho[cyc[-1]] != start:
-                cyc.append(rho[cyc[-1]])
-            for i, v in enumerate(cyc):
-                size[v], pos[v], root[v] = len(cyc), i, start
+    size, pos, root = _cycles(rho)
     offset = [(pos[v] - pos[w]) % size[v] if root[w] == root[v] else None for v, w in enumerate(s1)]
     for (u, v), mult in g.pair_multiplicities().items():
         d = gcd(size[u], size[v])
@@ -185,7 +191,8 @@ class DihedralAction(NamedTuple):
     @classmethod
     def build(cls, g: Multigraph, sigma1: Sequence[int], sigma2: Sequence[int]) -> "DihedralAction":
         """Two distinct non-identity involutions generate a dihedral group
-        of order exactly 2n, n the order of rho = sigma2 . sigma1."""
+        of order exactly 2n, n the order of rho = sigma2 . sigma1: the lcm
+        of its cycle lengths."""
         s1 = check_automorphism(g, sigma1)
         s2 = check_automorphism(g, sigma2)
         ident = identity_perm(g.vertex_count)
@@ -196,7 +203,7 @@ class DihedralAction(NamedTuple):
                 raise ValueError(f"{name} is not an involution: its square is not the identity")
         if s1 == s2:
             raise ValueError("sigma2 . sigma1 must have order at least 2")
-        return cls(n=len(_powers(compose(s2, s1))), sigma1=s1, sigma2=s2)
+        return cls(n=lcm(*set(_cycles(compose(s2, s1))[0])), sigma1=s1, sigma2=s2)
 
     @property
     def rotation(self) -> Perm:

@@ -7,6 +7,7 @@ operations return fresh objects.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
@@ -22,9 +23,11 @@ def int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major."""
+    """Integer matrix stored as the nonzeros of each row: one dict per
+    row, from column to nonzero entry.  Every constructor drops zeros,
+    so equal matrices store equal dicts however they were built."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         rows, cols = int_tuple((rows, cols), "matrix dimension")
@@ -33,9 +36,17 @@ class IntMatrix:
         data = int_tuple(entries, "matrix entry")
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self._data = data
+        self.rows, self.cols = rows, cols
+        self._nz = tuple(
+            {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x} for i in range(rows)
+        )
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nz: Iterable[dict[int, int]]) -> "IntMatrix":
+        """The matrix of these row dicts, kept as they are: nonzero ints at columns in range."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._nz = rows, cols, tuple(nz)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
@@ -59,20 +70,27 @@ class IntMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+        diag = int_tuple(diag, "matrix entry")
+        return cls._of(len(diag), len(diag), ({i: d} if d else {} for i, d in enumerate(diag)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
+        i, j = int_tuple(ij, "matrix index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self._data[i * self.cols + j]
+        return self._nz[i].get(j, 0)
 
     def row(self, i: int) -> list[int]:
-        return list(self._data[i * self.cols : (i + 1) * self.cols])
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
+        out = [0] * self.cols
+        for j, x in self._nz[i].items():
+            out[j] = x
+        return out
 
     def col(self, j: int) -> list[int]:
-        return [self._data[i * self.cols + j] for i in range(self.rows)]
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return [row.get(j, 0) for row in self._nz]
 
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
@@ -80,31 +98,26 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [x for i in range(self.rows) for x in self.row(i) + other.row(i)],
-        )
+        nz = ({**a, **{j + self.cols: x for j, x in b.items()}} for a, b in zip(self._nz, other._nz))
+        return IntMatrix._of(self.rows, self.cols + other.cols, nz)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         vec = int_tuple(vec, "vector entry")
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return [
-            sum(self._data[i * self.cols + k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        ]
+        return [sum(x * vec[j] for j, x in row.items()) for row in self._nz]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._nz == other._nz
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        # A row dict keeps its keys in build order, so rows hash as sets.
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._nz)))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
@@ -113,10 +126,13 @@ class IntMatrix:
 def det_bareiss(m: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination over sparse rows.
 
-    Each row is a dict of its nonzero entries.  Step k pivots on the
-    remaining row with the fewest nonzeros (lowest index on ties), on its
-    diagonal entry if nonzero, else on its lowest nonzero column; on a
-    symmetric pattern this is minimum-degree ordering.  With pivots
+    Each row is a dict of its nonzero entries, and each column keeps the
+    set of remaining rows with a nonzero in it.  Step k pivots on the
+    remaining row with the fewest nonzeros (lowest index on ties), the
+    last of a sorted list of (-nonzeros, -row) in which a rewritten row's
+    entry is moved, on its diagonal entry if nonzero, else on its lowest
+    nonzero column; on a symmetric pattern this is minimum-degree
+    ordering.  With pivots
     p_0 = 1, p_1, ..., every step-k entry is a (k+1)-minor of m, and a
     row untouched since step s holds step-s values x whose step-k values
     are x * p_k // p_s, exact because the result is a minor.  So step k
@@ -128,30 +144,43 @@ def det_bareiss(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(n)}
+    rows = {i: dict(row) for i, row in enumerate(m._nz)}
+    colrows: dict[int, set[int]] = {}  # column -> remaining rows with a nonzero in it
+    for i, row in rows.items():
+        for j in row:
+            colrows.setdefault(j, set()).add(i)
+    queue = sorted((-len(row), -i) for i, row in rows.items())  # last: fewest nonzeros, lowest row
     step = dict.fromkeys(rows, 0)  # the step each row's values belong to
     pivots = [1]
     pivot_col = [0] * n
     for k in range(1, n + 1):
-        r = min(rows, key=lambda i: len(rows[i]))  # keys stay in index order
+        r = -queue.pop()[1]
         row, s = rows.pop(r), step.pop(r)
         if not row:
             return 0
         if s < k - 1:
             row = {j: x * pivots[-1] // pivots[s] for j, x in row.items()}
+        for j in row:
+            colrows[j].discard(r)
         c = r if r in row else min(row)
         pivot_col[r] = c
         p = row[c]
-        for i, other in rows.items():
-            xc = other.get(c)
-            if xc is None:
-                continue
+        for i in colrows.pop(c):
+            other = rows[i]
+            xc = other[c]
             new = {j: x * p for j, x in other.items()}
             for j, y in row.items():
                 new[j] = new.get(j, 0) - xc * y
             d = pivots[step[i]]
-            rows[i] = {j: x // d for j, x in new.items() if x}
-            step[i] = k
+            new = {j: x // d for j, x in new.items() if x}
+            for j in other.keys() - new.keys() - {c}:
+                colrows[j].discard(i)
+            for j in new.keys() - other.keys():
+                colrows[j].add(i)
+            rows[i], step[i] = new, k
+            if len(new) != len(other):
+                del queue[bisect_left(queue, (-len(other), -i))]
+                insort(queue, (-len(new), -i))
         pivots.append(p)
     # The pivot permutation has sign (-1)^(n - its number of cycles).
     sign = (-1) ** n
@@ -183,8 +212,7 @@ class SnfResult:
 
     def invariant_factors(self) -> list[int]:
         """Diagonal of S, nonzero entries only (they satisfy d1 | d2 | ...)."""
-        diag = (self.S[k, k] for k in range(min(self.S.rows, self.S.cols)))
-        return [d for d in diag if d]
+        return [row[k] for k, row in enumerate(self.S._nz) if row]
 
 
 def _walk_log(
@@ -239,14 +267,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     rest.  Rows keep their indices until the end, where logged swaps
     move the k-th pivot row to row k.
     """
-    rows: dict[int, dict[int, int]] = {}  # the rows with a nonzero
+    rows = {i: dict(row) for i, row in enumerate(m._nz) if row}  # the rows with a nonzero
     colrows: dict[int, set[int]] = {}  # column -> rows with a nonzero in it
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.row(i)) if x}
-        if row:
-            rows[i] = row
-            for j in row:
-                colrows.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            colrows.setdefault(j, set()).add(i)
     ops: list[tuple] = []
     pivots: list[tuple[int, int]] = []  # (row, |pivot|) in elimination order
 
@@ -317,14 +342,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     # Move the k-th pivot row to row k, tracking where each row sits.
     at = list(range(m.rows))  # at[k]: the row now at position k
     where = list(range(m.rows))  # where[i]: the position of row i
-    entries = [0] * (m.rows * m.cols)
     for k, (r, d) in enumerate(pivots):
         pos, other = where[r], at[k]
         if pos != k:
             ops.append(("swap", k, pos, 0))
             at[k], at[pos], where[r], where[other] = r, other, k, pos
-        entries[k * m.cols + k] = d
-    return SnfResult(IntMatrix(m.rows, m.cols, entries), ops)
+    diag = [{k: d} for k, (_, d) in enumerate(pivots)]
+    zero = [{} for _ in range(m.rows - len(pivots))]
+    return SnfResult(IntMatrix._of(m.rows, m.cols, diag + zero), ops)
 
 
 def _smith_pivot(rows: dict[int, dict[int, int]], colrows: dict[int, set[int]]) -> tuple[int, int]:

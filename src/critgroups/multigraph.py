@@ -90,35 +90,31 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges labels")):
         return len(self.edges) == self.vertex_count - 1 and self.is_connected()
 
 
-def _laplacian_rows(g: Multigraph) -> list[list[int]]:
-    """Rows of the degree matrix minus the adjacency matrix."""
-    n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        if u != v:
-            rows[u][v] -= 1
-            rows[v][u] -= 1
-            rows[u][u] += 1
-            rows[v][v] += 1
+def _laplacian_rows(g: Multigraph) -> list[dict[int, int]]:
+    """Each row's nonzeros of degree minus adjacency matrix, by column, in O(V + E)."""
+    rows: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for (u, v), mult in g.pair_multiplicities().items():
+        rows[u][v] = rows[v][u] = -mult
+        rows[u][u] = rows[u].get(u, 0) + mult
+        rows[v][v] = rows[v].get(v, 0) + mult
     return rows
 
 
 def laplacian(g: Multigraph) -> IntMatrix:
     """Degree matrix minus adjacency matrix (positive semidefinite)."""
-    return IntMatrix.from_rows(_laplacian_rows(g), g.vertex_count)
+    return IntMatrix._of(g.vertex_count, g.vertex_count, _laplacian_rows(g))
 
 
 def reduced_laplacian(g: Multigraph, root: int) -> IntMatrix:
     """Laplacian with the root's row and column deleted; 0 x 0 on one vertex."""
+    int_tuple((root,), "root")
     if not g.is_connected():
         raise DisconnectedGraphError("reduced Laplacian needs a connected graph")
     if not (0 <= root < g.vertex_count):
         raise ValueError("root out of range")
-    rows = _laplacian_rows(g)
-    del rows[root]
-    for r in rows:
-        del r[root]
-    return IntMatrix.from_rows(rows, len(rows))
+    rows = [{j - (j > root): x for j, x in row.items() if j != root} for row in _laplacian_rows(g)]
+    del rows[root]  # its column went above, and later columns moved one to the left
+    return IntMatrix._of(len(rows), len(rows), rows)
 
 
 def spanning_tree_count(g: Multigraph) -> int:

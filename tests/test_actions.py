@@ -363,6 +363,23 @@ def test_written_down_dihedral_group_matches_its_closure():
         DihedralAction.build(cycle(6), refl, refl)
 
 
+def test_build_counts_the_rotations():
+    """n, the lcm of rho's cycle lengths, is the number of rotations
+    written down, on every dihedral case; on a 6-cycle beside a 4-cycle,
+    each turned one step by rho, it is 12, not the longest cycle."""
+    cases = _harmonicity_families() + [_star(), _looped_triangle()] + list(_family_actions())
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    square = [(6 + i, 6 + (i + 1) % 4) for i in range(4)]
+    hexagon_and_square = Multigraph.from_edges(10, hexagon + square)
+    refl1 = [(6 - i) % 6 for i in range(6)] + [6 + (4 - i) % 4 for i in range(4)]
+    refl2 = [(7 - i) % 6 for i in range(6)] + [6 + (5 - i) % 4 for i in range(4)]
+    cases.append((hexagon_and_square, DihedralAction.build(hexagon_and_square, refl1, refl2)))
+    for g, act in cases:
+        built = DihedralAction.build(g, act.sigma1, act.sigma2)
+        assert built.n == len(_powers(built.rotation))
+    assert cases[-1][1].n == 12
+
+
 def test_build_names_the_fault_it_found():
     """An identity generator and one whose square is not the identity are
     refused with different messages."""

@@ -497,6 +497,67 @@ def test_shape_must_be_nonnegative_ints(rows, cols, error):
         IntMatrix(rows, cols, [1, 2])
 
 
+@pytest.mark.parametrize("n, error", [(-1, ValueError), (True, TypeError)], ids=["negative", "bool"])
+def test_identity_size_must_be_a_nonnegative_int(n, error):
+    """The identity's size meets the same check as a shape, not read as
+    a list length (True would give the 1 x 1 identity)."""
+    with pytest.raises(error, match="is not an int|negative shape"):
+        IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize("ij", [(True, 0), (0, False), (1.0, 0), (0, "1"), (None, 0)])
+def test_index_must_be_an_int(ij):
+    """A bool index would be read as 1 or 0: [True, 0] of [[1, 2], [3, 4]]
+    was 3."""
+    with pytest.raises(TypeError, match="matrix index .* is not an int"):
+        IntMatrix(2, 2, [1, 2, 3, 4])[ij]
+
+
+def test_storage_matches_a_dense_reference():
+    """On random shapes, 0×n and n×0 among them, with zero rows and zero
+    columns: every constructor gives a matrix whose rows, columns,
+    entries, products, side-by-side joins, equality and hash agree with
+    a dense list of rows."""
+    rng = random.Random(67)
+    for _ in range(300):
+        r, c, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 3)
+        dense = [[rng.choice([0, 0, 0, 1, -2, 7]) for _ in range(c)] for _ in range(r)]
+        if r and rng.random() < 0.4:
+            dense[rng.randrange(r)] = [0] * c
+        if c and rng.random() < 0.4:
+            j = rng.randrange(c)
+            for row in dense:
+                row[j] = 0
+        cols = [[row[j] for row in dense] for j in range(c)]
+        right = [[rng.choice([0, 0, 3, -1]) for _ in range(k)] for _ in range(r)]
+        vec = [rng.randint(-4, 4) for _ in range(c)]
+        first = IntMatrix(r, c, [x for row in dense for x in row])
+        for m in (first, IntMatrix.from_rows(dense, c), IntMatrix.from_cols(cols, r)):
+            assert (m.rows, m.cols) == (r, c)
+            assert m.to_rows() == [m.row(i) for i in range(r)] == dense
+            assert [m.col(j) for j in range(c)] == cols
+            assert [[m[i, j] for j in range(c)] for i in range(r)] == dense
+            assert m.apply(vec) == [sum(x * y for x, y in zip(row, vec)) for row in dense]
+            joined = m.hstack(IntMatrix.from_rows(right, k))
+            assert (joined.rows, joined.cols) == (r, c + k)
+            assert joined.to_rows() == [a + b for a, b in zip(dense, right)]
+            assert m == first and hash(m) == hash(first)
+            for i, j in ((r, 0), (0, c), (-1, 0), (0, -1)):
+                with pytest.raises(IndexError):
+                    m[i, j]
+        if r and c:
+            changed = [list(row) for row in dense]
+            changed[rng.randrange(r)][rng.randrange(c)] += 1
+            assert IntMatrix.from_rows(changed, c) != first
+        # Zero matrices store the same (empty) rows; the shape tells them apart.
+        assert IntMatrix(r, c, [0] * (r * c)) != IntMatrix(r, c + 1, [0] * (r * (c + 1)))
+    diag = [3, 0, -1, 0]
+    dense_diag = [[d if i == j else 0 for j in range(4)] for i, d in enumerate(diag)]
+    assert IntMatrix.diagonal(diag) == IntMatrix.from_rows(dense_diag, 4)
+    assert hash(IntMatrix.diagonal(diag)) == hash(IntMatrix.from_rows(dense_diag, 4))
+    assert IntMatrix.identity(3).to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_from_rows_keeps_its_shape_when_empty():
     assert IntMatrix.from_rows([], 3) == IntMatrix(0, 3, [])
     assert IntMatrix.from_rows([[], []], 0) == IntMatrix(2, 0, [])
@@ -726,14 +787,13 @@ def test_hermite_form_matches_eager_reference(m):
 
 
 @st.composite
-def det_inputs(draw):
+def det_inputs(draw, sizes=st.integers(0, 8), entry=st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])):
     """Square matrices of size 0 to 8.  Entries are mostly 0 or small,
     and up to ±2^70 when big entries are on.  The shape is left as drawn,
     or has its diagonal zeroed or its rows permuted (both force
     off-diagonal pivots), or its last row replaced by a combination of
     the first two or by zeros (singular)."""
-    n = draw(st.integers(0, 8))
-    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    n = draw(sizes)
     if draw(st.booleans()):
         entry = st.one_of(entry, st.integers(-(2**70), 2**70))
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
@@ -751,6 +811,12 @@ def det_inputs(draw):
     return IntMatrix.from_rows(rows, n)
 
 
+# 9 to 16 rows, about one entry in four nonzero and no symmetry, so the
+# pivot queue holds many rows of equal length and fill reaches rows it
+# did not start in.
+SPARSE_DET_INPUTS = det_inputs(st.integers(9, 16), st.sampled_from([0] * 9 + [1, -1, 2, -3]))
+
+
 @PROPERTY
 @example(IntMatrix(0, 0, []))
 @example(IntMatrix.from_rows([[0, 1], [1, 0]], 2))  # off-diagonal pivots, odd
@@ -758,11 +824,24 @@ def det_inputs(draw):
 @example(IntMatrix.diagonal([2, 3, 5, 7]))  # rows wait for their rescale
 @example(IntMatrix.from_rows([[2**70, 1], [1, 2**70]], 2))
 @example(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3))  # singular
-@given(det_inputs())
+@given(st.one_of(det_inputs(), SPARSE_DET_INPUTS))
 def test_determinant_matches_dense_reference(m):
     """Sparse, lazily rescaled Bareiss with fewest-nonzeros pivoting
     agrees with the dense elimination it replaced."""
     assert det_bareiss(m) == det_bareiss_reference(m)
+
+
+def test_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(PROPERTY, max_examples=50)
+    @example(IntMatrix(0, 0, []))
+    @example(IntMatrix.from_rows([[0, 0], [1, 2]], 2))  # zero row
+    @given(st.one_of(det_inputs(), SPARSE_DET_INPUTS))
+    def agree(m):
+        assert det_bareiss(m) == sympy.Matrix(m.to_rows()).det()
+
+    agree()
 
 
 @PROPERTY

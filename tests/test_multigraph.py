@@ -2,6 +2,7 @@
 the matrix-tree count against exhaustive enumeration."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -98,20 +99,43 @@ def test_reduced_laplacian_examples():
     assert brute_force_spanning_trees(c4) == 4
 
 
+def dense_laplacian(g):
+    """Reference for the sparse Laplacian: degree minus adjacency as a
+    dense list of rows."""
+    a = adjacency_matrix(g).to_rows()
+    return [[sum(row) if j == i else -x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
 @pytest.mark.parametrize(
     "g",
     [
         # loops at 0 and 3, a double edge 0-1 and a triple edge 2-3
         Multigraph.from_edges(4, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (2, 3), (3, 3), (0, 3)]),
         concentric_polygon(8)[0],
+        circulant(6, [1, 3])[0],  # step 3 doubles the edges on the reflection axis
+        Multigraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)] + [(i, i) for i in range(5)]),
+        chained_copies(Multigraph.from_edges(3, [(0, 1), (0, 1), (1, 2), (1, 2)]), [2, 1, 0], 0, 2, 4)[0],
     ],
-    ids=["looped_multigraph", "concentric_polygon(8)"],
+    ids=[
+        "looped_multigraph",
+        "concentric_polygon(8)",
+        "circulant(6,[1,3])",
+        "looped_cycle5",
+        "doubled_path_chain",
+    ],
 )
 def test_reduced_laplacian_deletes_the_root_row_and_column(g):
-    lap = laplacian(g).to_rows()
+    """For every root, the reduced Laplacian built from the edge list is
+    the dense reference with that row and column deleted; it compares
+    and hashes equal to the matrix built from those dense rows."""
+    lap = dense_laplacian(g)
+    assert laplacian(g).to_rows() == lap
     for r in range(g.vertex_count):
         kept = [row[:r] + row[r + 1 :] for i, row in enumerate(lap) if i != r]
-        assert reduced_laplacian(g, r) == IntMatrix.from_rows(kept, g.vertex_count - 1)
+        red = reduced_laplacian(g, r)
+        assert red.to_rows() == kept
+        dense = IntMatrix.from_rows(kept, g.vertex_count - 1)
+        assert red == dense and hash(red) == hash(dense)
 
 
 def test_reduced_laplacian_root_independent():
@@ -121,6 +145,14 @@ def test_reduced_laplacian_root_independent():
         dets = {abs(det_bareiss(reduced_laplacian(g, r))) for r in range(g.vertex_count)}
         assert len(dets) == 1
         assert dets.pop() > 0
+
+
+@pytest.mark.parametrize("root", [True, False, 1.0, "1", None])
+def test_reduced_laplacian_root_must_be_an_int(root):
+    """A bool root would be read as the index 1 or 0, and a float one
+    failed inside list indexing with a message naming no argument."""
+    with pytest.raises(TypeError, match=f"root {root!r} is not an int"):
+        reduced_laplacian(TRIANGLE, root)
 
 
 def test_reduced_laplacian_errors():
@@ -189,6 +221,23 @@ def test_tree_count_is_the_critical_group_order(name):
     are two exact routes to the same number."""
     g = TREE_COUNT_GRAPHS[name]()
     assert spanning_tree_count(g) == critical_group(g).group.order
+
+
+def test_compute_path_reads_no_dense_row(monkeypatch):
+    """The critical group and the tree count of concentric_polygon(64)
+    come out right with IntMatrix.row and IntMatrix.to_rows disabled:
+    the reduced Laplacian, the Smith form and Bareiss read only the
+    stored nonzeros."""
+
+    def dense(*args):
+        raise AssertionError("read a dense row on the compute path")
+
+    monkeypatch.setattr(IntMatrix, "row", dense)
+    monkeypatch.setattr(IntMatrix, "to_rows", dense)
+    g = concentric_polygon(64)[0]
+    factors = (160, 7374930956874974904143023879840, 176998342964999397699432573116160)
+    assert critical_group(g).group.factors == factors
+    assert spanning_tree_count(g) == prod(factors)
 
 
 def test_canonical_edge_order_and_equality():
