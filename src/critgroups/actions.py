@@ -99,17 +99,19 @@ def generate_group(g: Multigraph, generators: Sequence[Sequence[int]]) -> list[P
     return sorted(group)
 
 
-def orbits(group: Sequence[Perm], n: int) -> list[list[int]]:
-    """Vertex orbits, each sorted, ordered by minimal element."""
-    seen = [False] * n
-    out = []
+def orbits(perms: Sequence[Perm], n: int) -> list[list[int]]:
+    """Orbits of the group the perms generate (an element list generates
+    itself): their cycles' connected classes, each sorted, by least vertex."""
+    seen, out = set(), []
     for v in range(n):
-        if seen[v]:
-            continue
-        orb = sorted({p[v] for p in group})
-        for w in orb:
-            seen[w] = True
-        out.append(orb)
+        if v not in seen:
+            seen.add(v)
+            orb = [v]
+            for w in orb:
+                new = {p[w] for p in perms} - seen
+                seen |= new
+                orb += new
+            out.append(sorted(orb))
     return out
 
 
@@ -306,11 +308,11 @@ def classify_dihedral_orbits(g: Multigraph, action: DihedralAction) -> OrbitLabe
     point of each generator and none is flipped; for even n each holds
     fixed points of exactly one.  If every one is flipped, the generator
     roles are swapped globally and the same seeds count as unflipped; a
-    residual mix is recorded per orbit via ``flipped``.  Only orbits and
-    fixed points are read: harmonicity is checked by the quotients.
+    residual mix is recorded per orbit via ``flipped``.  Only the
+    generators' cycles are read; harmonicity is not checked here.
     """
     n = action.n
-    orbs = orbits(action.elements, g.vertex_count)
+    orbs = orbits((action.sigma1, action.sigma2), g.vertex_count)
     for orb in orbs:
         if len(orb) not in (n, 2 * n):
             raise OrbitSizeError(

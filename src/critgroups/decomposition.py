@@ -38,14 +38,16 @@ from .abelian import (
 from .actions import (
     DihedralAction,
     OrbitLabeling,
+    _dihedral_offender,
     _reflect,
+    _refuse_offender,
     classify_dihedral_orbits,
 )
 from .divisors import CriticalGroupData, critical_group, is_principal
 from .intmatrix import IntMatrix, Lattice
 from .jsonio import divisor_to_json
 from .multigraph import Multigraph, spanning_tree_count
-from .quotients import QuotientResult, is_pullback, pullback, quotient_graph
+from .quotients import QuotientResult, is_pullback, orbit_quotient, pullback
 
 
 def _labeled_rows(labeling: OrbitLabeling) -> list[tuple[int, ...]]:
@@ -67,12 +69,13 @@ class DecompositionContext:
         self.action = action
         self.n = action.n
         self.cg = critical_group(g)  # a disconnected graph stops here
-        # A non-harmonic action stops at qhat.  A subgroup's pair
-        # stabilizers divide the group's, so q1, q2 and q3 cannot fail.
-        self.qhat = quotient_graph(g, [action.sigma1, action.sigma2])
-        self.q1 = quotient_graph(g, [action.sigma1])
-        self.q2 = quotient_graph(g, [action.sigma2])
-        self.q3 = quotient_graph(g, [action.rotation])
+        # Harmonicity is decided once, by the cycle rule: a subgroup's pair
+        # stabilizers divide the group's, so the four quotients inherit it.
+        _refuse_offender(g, _dihedral_offender(g, action))
+        self.qhat = orbit_quotient(g, [action.sigma1, action.sigma2], 2 * action.n)
+        self.q1 = orbit_quotient(g, [action.sigma1], 2)
+        self.q2 = orbit_quotient(g, [action.sigma2], 2)
+        self.q3 = orbit_quotient(g, [action.rotation], action.n)
         self.cg_h = tuple(
             critical_group(q.quotient) for q in (self.q1, self.q2, self.q3)
         )

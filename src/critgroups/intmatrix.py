@@ -80,6 +80,7 @@ class IntMatrix:
         return self._nz[i].get(j, 0)
 
     def row(self, i: int) -> list[int]:
+        (i,) = int_tuple((i,), "matrix index")
         if not 0 <= i < self.rows:
             raise IndexError(i)
         out = [0] * self.cols
@@ -88,6 +89,7 @@ class IntMatrix:
         return out
 
     def col(self, j: int) -> list[int]:
+        (j,) = int_tuple((j,), "matrix index")
         if not 0 <= j < self.cols:
             raise IndexError(j)
         return [row.get(j, 0) for row in self._nz]

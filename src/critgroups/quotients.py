@@ -39,8 +39,13 @@ def quotient_graph(g: Multigraph, group: Sequence[Sequence[int]]) -> QuotientRes
     """
     elements = tuple(generate_group(g, list(group)))
     require_harmonic(g, elements)
-    orbs = orbits(elements, g.vertex_count)
-    order = len(elements)
+    return orbit_quotient(g, elements, len(elements))
+
+
+def orbit_quotient(g: Multigraph, generators: Sequence[Sequence[int]], order: int) -> QuotientResult:
+    """The quotient by the group of the given order that the automorphisms
+    generate, without closing it; the action must be known to be harmonic."""
+    orbs = orbits(generators, g.vertex_count)
 
     orbit_index = [0] * g.vertex_count
     for qi, orb in enumerate(orbs):

@@ -24,6 +24,7 @@ from critgroups.actions import (
     orbits,
     require_harmonic,
 )
+from critgroups.decomposition import DecompositionContext
 from critgroups.families import (
     CHAIN_BASES,
     chained_copies,
@@ -33,6 +34,7 @@ from critgroups.families import (
     klein_example,
 )
 from critgroups.multigraph import Multigraph
+from critgroups.quotients import quotient_graph
 
 
 def cycle(n):
@@ -206,6 +208,35 @@ def test_dihedral_offender_matches_the_element_scans():
             assert _dihedral_offender(g2, act2) == expected
             verdicts.append(expected is None)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
+
+
+def test_context_quotients_match_the_closed_subgroups():
+    """A DecompositionContext refuses an action exactly when the element
+    scan does, with the same edge and message; otherwise each of its four
+    quotients, read off the generators' cycles, is quotient_graph over the
+    closed subgroup, and every generator list has its closed group's
+    orbits.  On every dihedral case and 40 seeded copies of each with
+    random edge orbits added."""
+    rng = random.Random(31)
+    verdicts = []
+    for g, act in _harmonicity_families() + [_star(), _looped_triangle()]:
+        for trial in range(41):
+            g2, act2 = _with_edge_orbits(g, act, rng) if trial else (g, act)
+            lists = ([act2.sigma1, act2.sigma2], [act2.sigma1], [act2.sigma2], [act2.rotation])
+            for gens in lists:
+                assert orbits(gens, g2.vertex_count) == orbits(generate_group(g2, gens), g2.vertex_count)
+            try:
+                require_harmonic(g2, act2.elements)
+            except NonHarmonicError as old:
+                with pytest.raises(NonHarmonicError) as new:
+                    DecompositionContext(g2, act2)
+                assert (new.value.edge, str(new.value)) == (old.edge, str(old))
+                verdicts.append(False)
+                continue
+            ctx = DecompositionContext(g2, act2)
+            assert [ctx.qhat, ctx.q1, ctx.q2, ctx.q3] == [quotient_graph(g2, gens) for gens in lists]
+            verdicts.append(True)
+    assert len(verdicts) == 615 and verdicts.count(False) >= 100 and verdicts.count(True) >= 100
 
 
 def test_constructor_refusal_matches_the_element_scan(monkeypatch):

@@ -875,11 +875,10 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, walks
     k1 + k2 + k3 of them) is computed once per distinct column count,
     each as one Smith form of [diag(d) | columns] over the group's own
     k invariant-factor coordinates, which also gives the image as a
-    kernel, every quotient graph's group is closed from at most two
-    generators, never from a list of its elements, and only the
-    cokernels that are projected into or lifted from walk their Smith
-    form's op log, a fixed number of walks (a trivial group walks
-    none)."""
+    kernel, no quotient graph's group is closed (each quotient reads
+    its generators' cycles), and only the cokernels that are projected
+    into or lifted from walk their Smith form's op log, a fixed number
+    of walks (a trivial group walks none)."""
     g, act = maker()
     hnf_counts = {}
     for trials in (5, 50):
@@ -900,7 +899,7 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, walks
         assert sorted(column_counts) == sorted(images)
         shapes = [[(m.rows, m.cols) for m in snfs] for snfs in quotient_snfs]
         assert shapes == [[(k, k + cols)] for cols in column_counts]
-        assert closures and max(len(gens) for gens in closures) <= 2
+        assert closures == []
         projected = {id(snf._row_ops) for snf in _projected_smith_forms(ctx, quotient_cokernels)}
         assert {id(ops) for ops in walked} <= projected
         assert len(walked) == walks
@@ -931,14 +930,24 @@ def test_verify_builds_each_pullback_generator_once(monkeypatch, maker, oracle):
     "maker, oracle", [(m, o) for m, o, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS
 )
 def test_verify_scans_the_full_group_for_harmonicity_once(monkeypatch, maker, oracle):
-    """Harmonicity is checked where the quotients are built: the full
-    2n-element group once (by qhat), then each involution's subgroup and
-    the rotations, and never again by the labeling or the checks."""
+    """Harmonicity is decided once, for the whole group, by the cycle
+    rule where the context is built: no element table is written or
+    scanned, by the quotients, the labeling or the checks."""
     g, act = maker()
     scanned = _record_calls(monkeypatch, actions, "_harmonic_offender", arg=1)
+    decided = _record_calls(monkeypatch, actions, "_dihedral_offender", arg=1)
+    tables = []
+    elements = actions.DihedralAction.elements.fget
+
+    def recording(action):
+        tables.append(action)
+        return elements(action)
+
+    monkeypatch.setattr(actions.DihedralAction, "elements", property(recording))
     ctx = DecompositionContext(g, act)
     assert run_all_checks(ctx, trials=25, seed=1, oracle=oracle).passed
-    assert [len(group) for group in scanned] == [2 * act.n, 2, 2, act.n]
+    assert scanned == [] and tables == []
+    assert decided == [act]
 
 
 @pytest.mark.parametrize("maker", [m for m, *_ in VERIFY_GATE_INSTANCES], ids=VERIFY_GATE_IDS)

@@ -513,6 +513,15 @@ def test_index_must_be_an_int(ij):
         IntMatrix(2, 2, [1, 2, 3, 4])[ij]
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1", None])
+@pytest.mark.parametrize("axis", ["row", "col"])
+def test_row_and_column_index_must_be_an_int(axis, index):
+    """The same check as an entry's index: row(True) of [[1, 2], [3, 4]]
+    was [3, 4], and col(True) and col(1.0) were [2, 4]."""
+    with pytest.raises(TypeError, match="matrix index .* is not an int"):
+        getattr(IntMatrix(2, 2, [1, 2, 3, 4]), axis)(index)
+
+
 def test_storage_matches_a_dense_reference():
     """On random shapes, 0×n and n×0 among them, with zero rows and zero
     columns: every constructor gives a matrix whose rows, columns,

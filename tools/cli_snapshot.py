@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (103 runs):
+The run set (104 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -32,12 +32,14 @@ The run set (103 runs):
     the reports;
   * ``--format json compute`` and text ``compute`` on the empty and the
     one-vertex graph;
-  * ``--format json verify`` on three rejected inputs: the 3-leaf star
+  * ``--format json verify`` on four rejected inputs: the 3-leaf star
     c-x, c-y, c-z under (x y) and (y z), not harmonic (exit 5), the
     path a-m-b under (a m) and (a b), where (a m) is no automorphism
-    (exit 2), and the two triangles a-b-c and d-e-f under
+    (exit 2), the two triangles a-b-c and d-e-f under
     (a d)(b e)(c f) and (a d)(b f)(c e), disconnected and with no orbit
-    labeling (exit 3);
+    labeling (exit 3), and three chained copies of the path a-m-b with
+    a pendant m-c under phi = (a b), not harmonic at the edge m@0-c@0
+    (exit 5);
   * ``--format json compute`` on three documents with a key the format
     does not define, each a parse error (exit 2): the triangle with
     ``edge`` for ``edges``, the path a-m-b with ``action`` for
@@ -178,6 +180,31 @@ def _hub_chain(n: int) -> dict:
     }
 
 
+def _pendant_path_chain(n: int) -> dict:
+    """n copies of the path a-m-b with a pendant m-c, each copy's b glued
+    to the next copy's a, under the copy reversals (v, i) -> (phi(v), -i)
+    and (v, i) -> (phi(v), 1 - i) with phi = (a b): the graph that
+    ``chained_copies`` would make from that base, but refuses.  The
+    reflection fixing copy 0 fixes the simple edge m@0-c@0, so verify
+    exits 5."""
+    edges = []
+    for i in range(n):
+        edges += [[f"a@{i}", f"m@{i}"], [f"m@{i}", f"a@{(i + 1) % n}"], [f"m@{i}", f"c@{i}"]]
+
+    def reversal(shift: int) -> dict:
+        image = {}
+        for i in range(n):
+            j = (shift - i) % n
+            image |= {f"a@{i}": f"a@{(j + 1) % n}", f"m@{i}": f"m@{j}", f"c@{i}": f"c@{j}"}
+        return image
+
+    return {
+        "vertices": [f"{v}@{i}" for i in range(n) for v in "amc"],
+        "edges": edges,
+        "actions": {"sigma1": reversal(0), "sigma2": reversal(1)},
+    }
+
+
 WRITTEN = {
     "empty": {"vertices": [], "edges": []},
     "one_vertex": {"vertices": ["a"], "edges": []},
@@ -197,6 +224,7 @@ WRITTEN = {
     "edge_reflected_cycle8": _edge_reflected_cycle(4),
     "edge_reflected_cycle10": _edge_reflected_cycle(5),
     "hub_chain(3)": _hub_chain(3),
+    "pendant_path_chain(3)": _pendant_path_chain(3),
     "star_nonharmonic": {
         "vertices": ["c", "x", "y", "z"],
         "edges": [["c", "x"], ["c", "y"], ["c", "z"]],
@@ -231,7 +259,7 @@ WRITTEN = {
     },
 }
 
-REJECTED = ("star_nonharmonic", "path_not_automorphism", "two_triangles")
+REJECTED = ("star_nonharmonic", "path_not_automorphism", "two_triangles", "pendant_path_chain(3)")
 
 _TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
 _TRIANGLE_FLIPS = {"sigma1": {"a": "a", "b": "c", "c": "b"}, "sigma2": {"a": "b", "b": "a", "c": "c"}}
