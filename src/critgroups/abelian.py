@@ -211,11 +211,14 @@ class GroupHom(namedtuple("GroupHom", "source_moduli target_moduli matrix")):
     def __new__(cls, source_moduli: tuple[int, ...], target_moduli: tuple[int, ...], matrix: IntMatrix):
         source_moduli = int_tuple(source_moduli, "source modulus")
         target_moduli = int_tuple(target_moduli, "target modulus")
+        for side, moduli in (("source", source_moduli), ("target", target_moduli)):
+            if 0 in moduli:
+                raise ValueError(f"{side} modulus 0: infinite cyclic factor not supported")
         if matrix.rows != len(target_moduli) or matrix.cols != len(source_moduli):
             raise ValueError("hom matrix shape mismatch")
-        for j, a in enumerate(source_moduli):
-            for i, b in enumerate(target_moduli):
-                if (a * matrix[i, j]) % b != 0:
+        for i, (b, row) in enumerate(zip(target_moduli, matrix.to_rows())):
+            for j, (a, x) in enumerate(zip(source_moduli, row)):
+                if (a * x) % b != 0:
                     raise ValueError(
                         f"ill-defined hom: relation {a}*e{j} maps outside "
                         f"the target lattice at row {i}"
@@ -233,5 +236,5 @@ def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     of [diag(a) | N].
     """
     a, b = h.source_moduli, h.target_moduli
-    dual = [[h.matrix[i, j] * a[j] // b[i] for j in range(len(a))] for i in range(len(b))]
+    dual = [[x * aj // bi for x, aj in zip(row, a)] for row, bi in zip(h.matrix.to_rows(), b)]
     return Cokernel(IntMatrix.diagonal(list(a)).hstack(IntMatrix.from_cols(dual, len(a)))).group

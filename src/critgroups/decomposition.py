@@ -4,11 +4,12 @@ dihedral action into critical groups of its quotient graphs.
 Everything is organized around the canonical orbit labeling.  Divisors
 that are sums of pullbacks from the three quotients (by the first
 involution, the second, and the rotation subgroup) are recognized by
-explicit congruence conditions, split constructively into summands, and
-independently characterized by lattice membership; the structural
-statements (kernel of the natural map, quotient of the image, order
-identities) are each verified by exact recomputation, never assumed
-from the predicted formula.
+a split into summands through explicit congruence conditions, which
+checks itself and is None for a non-member, and independently
+characterized by lattice membership; the structural statements (kernel
+of the natural map, quotient of the image, order identities) are each
+verified by exact recomputation, never assumed from the predicted
+formula.
 
 For even n the two reflection classes are distinct, and a size-n orbit
 may be pinned by either one.  The uniform predictions assume every
@@ -232,15 +233,12 @@ def _weighted_base(ctx: DecompositionContext, vals: list[int]) -> tuple[int, int
 
 
 def _pinned_rows_even(ctx: DecompositionContext, vals: list[int]) -> bool:
-    for orb in ctx.labeling.pinned:
-        if sum(vals[v] for v in orb.row) % 2 != 0:
-            return False
-    return True
+    return all(sum(vals[v] for v in orb.row) % 2 == 0 for orb in ctx.labeling.pinned)
 
 
 def _pair_offset(ctx: DecompositionContext, vals: list[int]) -> int | None:
     """The additive constant of the first summand of the split through
-    the two involutions, or None when ``pair_sum_conditions`` fails."""
+    the two involutions, or None when vals is not a sum of their pullbacks."""
     for orb in ctx.labeling.free:
         if sum(vals[v] for v in orb.xrow) != sum(vals[v] for v in orb.yrow):
             return None
@@ -258,7 +256,7 @@ def pair_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     every pinned row has even sum, and the index-weighted total agrees
     mod n with half the flipped-orbit totals.
     """
-    return _pair_offset(ctx, ctx.cg._degree_zero(d)) is not None
+    return split_pair_sum(ctx, d) is not None
 
 
 def _triple_feasible(ctx: DecompositionContext, base: int, strand_excess: int) -> int | None:
@@ -320,7 +318,7 @@ def _rotation_constants(ctx: DecompositionContext, vals: list[int]) -> list[int]
 
 def triple_sum_conditions(ctx: DecompositionContext, d: Sequence[int]) -> bool:
     """Is d a sum of pullbacks from all three quotients?"""
-    return _rotation_constants(ctx, ctx.cg._degree_zero(d)) is not None
+    return split_triple_sum(ctx, d) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +337,17 @@ def _place_rows(ctx: DecompositionContext, rows: list[list[int]]) -> list[int]:
 
 def split_pair_sum(
     ctx: DecompositionContext, d: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Write d as a sum of pullbacks through the two involutions.
 
     Uses running-sum formulas per orbit; the one free additive constant
-    is fixed by forcing the first summand to have degree zero.  Raises
-    ValueError when the membership conditions fail.
+    is fixed by forcing the first summand to have degree zero.  Returns
+    None when the membership conditions fail.
     """
     vals = ctx.cg._degree_zero(d)
     offset = _pair_offset(ctx, vals)
     if offset is None:
-        raise ValueError("divisor is not a sum of two involution pullbacks")
+        return None
     n = ctx.n
     lab = ctx.labeling
     rows = []
@@ -389,22 +387,22 @@ def _check_split(ctx, parts, vals):
 
 def split_triple_sum(
     ctx: DecompositionContext, d: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Write d as a sum of pullbacks from all three quotients.
-
-    A rotation-invariant correction with constant strand and row values
-    reduces the problem to the two-involution split.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """Write d as a sum of pullbacks from all three quotients; None if
+    it is not one.  A rotation-invariant correction with constant strand
+    and row values reduces the problem to the two-involution split.
     """
     vals = ctx.cg._degree_zero(d)
     consts = _rotation_constants(ctx, vals)
     if consts is None:
-        raise ValueError("divisor is not a sum of the three pullbacks")
+        return None
     d3 = tuple(_place_rows(ctx, [[c] * ctx.n for c in consts]))
-    rest = [a - b for a, b in zip(vals, d3)]
     if sum(d3) != 0 or not pullback_conditions(ctx, d3, 3):
         raise AssertionError("rotation correction is not a rotation pullback")
-    d1, d2 = split_pair_sum(ctx, rest)  # checks d1, d2 and that they sum to rest
-    return d1, d2, d3
+    pair = split_pair_sum(ctx, [a - b for a, b in zip(vals, d3)])
+    if pair is None:
+        raise AssertionError("remainder is not a sum of two involution pullbacks")
+    return (*pair, d3)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +720,7 @@ def membership_sweep(
 ) -> CheckResult:
     """Randomized consistency sweep over degree-zero divisors.
 
-    Splits are exercised whenever the membership conditions accept.
+    Each membership is decided once, by its split, which checks itself.
     With ``oracle`` set, memberships are cross-checked against lattice
     membership in explicit generator matrices, principality (decided by
     projection) against membership in the firing lattice, and the
@@ -742,12 +740,8 @@ def membership_sweep(
         in_triple = triple_sum_conditions(ctx, d)
         if in_pair and not in_triple:
             mismatches.append(f"trial {k}: pair member outside triple sum")
-        if in_pair:
-            pair_hits += 1
-            split_pair_sum(ctx, d)  # internal postcondition asserts
-        if in_triple:
-            triple_hits += 1
-            split_triple_sum(ctx, d)
+        pair_hits += in_pair
+        triple_hits += in_triple
         if oracle:
             dropped = ctx.cg._dropped(d)
             if is_principal(ctx.cg, d) != firing_lat.contains(dropped):

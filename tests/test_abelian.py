@@ -219,6 +219,32 @@ def test_group_hom_well_definedness():
     GroupHom((2,), (4,), IntMatrix.from_rows([[2]], 1))  # fine
 
 
+@pytest.mark.parametrize(
+    "source, target, side",
+    [((2,), (0,), "target"), ((0,), (2,), "source"), ((3, 0), (0, 2), "source")],
+    ids=["target", "source", "both"],
+)
+def test_group_hom_refuses_a_zero_modulus(source, target, side):
+    """A modulus 0 is an infinite cyclic factor, refused where the map is
+    built and named by its side: as a target it would divide by zero in
+    the well-definedness test, and as a source it would be accepted and
+    fail only in ``kernel_of_hom``."""
+    matrix = IntMatrix(len(target), len(source), [1] * (len(source) * len(target)))
+    with pytest.raises(ValueError, match=f"^{side} modulus 0: infinite cyclic factor"):
+        GroupHom(source, target, matrix)
+
+
+def test_hom_matrix_rows_are_read_once(monkeypatch):
+    """Building a hom and taking its kernel read the matrix by rows, never
+    entry by entry through the index-checking ``[i, j]``."""
+    entries = []
+    real = IntMatrix.__getitem__
+    monkeypatch.setattr(IntMatrix, "__getitem__", lambda m, ij: entries.append(ij) or real(m, ij))
+    hom = GroupHom((4, 6), (2, 12), IntMatrix.from_rows([[0, 1], [3, 0]], 2))
+    assert kernel_of_hom(hom).factors == (3,)  # x*e0 + y*e1 with x = 0, y even
+    assert entries == []
+
+
 def test_random_homs_kernel_times_image():
     rng = random.Random(31)
     for _ in range(120):

@@ -126,34 +126,55 @@ def test_membership_requires_degree_zero():
 
 
 def test_split_refuses_non_members():
+    """A non-member has no split: each split returns None."""
     d = [1, -1, 0, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        split_pair_sum(C7, d)
-    with pytest.raises(ValueError):
-        split_triple_sum(C7, d)
+    assert split_pair_sum(C7, d) is None
+    assert split_triple_sum(C7, d) is None
+
+
+def test_split_requires_degree_zero():
+    """A divisor of nonzero degree is refused with ValueError, not
+    answered with None: it is outside the question, not a non-member."""
+    for split in (split_pair_sum, split_triple_sum):
+        with pytest.raises(ValueError, match="degree"):
+            split(C7, [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_split_self_checks_raise_assertion_error(monkeypatch):
     """A fault in the constants a split is built from is an internal
-    error, never a "not a member" ValueError: a shifted rotation constant
-    is caught before the remainder reaches the pair split, and a shifted
-    pair offset by the pair split's own check."""
+    error, never read as a non-member: a rotation constant shifted on
+    one row breaks the rotation-pullback check (the correction loses
+    degree zero) before the remainder reaches the pair split; one
+    shifted by +1 on the first row and -1 on the last is still a
+    degree-zero rotation pullback, so the pair split refuses the
+    remainder, and the triple split raises rather than return None; a
+    shifted pair offset is caught by the pair split's own check.  Run on
+    concentric_polygon(4) and chained_copies(cycle4,4)."""
     real_constants = decomposition._rotation_constants
     real_offset = decomposition._pair_offset
-    d = [0] * G4.graph.vertex_count
 
-    def shifted_constants(ctx, vals):
-        consts = real_constants(ctx, vals)
-        consts[-1] += 1
-        return consts
+    def shifted_constants(first, last):
+        def shifted(ctx, vals):
+            consts = real_constants(ctx, vals)
+            consts[0] += first
+            consts[-1] += last
+            return consts
 
-    monkeypatch.setattr(decomposition, "_rotation_constants", shifted_constants)
-    with pytest.raises(AssertionError, match="rotation correction is not a rotation pullback"):
-        split_triple_sum(G4, d)
-    monkeypatch.setattr(decomposition, "_rotation_constants", real_constants)
-    monkeypatch.setattr(decomposition, "_pair_offset", lambda ctx, vals: real_offset(ctx, vals) + 1)
-    with pytest.raises(AssertionError):
-        split_pair_sum(G4, d)
+        return shifted
+
+    for ctx in (G4, ctx_for(chain("cycle4", 4))):
+        d = [0] * ctx.graph.vertex_count
+        with monkeypatch.context() as mp:
+            mp.setattr(decomposition, "_rotation_constants", shifted_constants(0, 1))
+            with pytest.raises(AssertionError, match="rotation correction is not a rotation pullback"):
+                split_triple_sum(ctx, d)
+            mp.setattr(decomposition, "_rotation_constants", shifted_constants(1, -1))
+            with pytest.raises(AssertionError, match="remainder is not a sum of two involution pullbacks"):
+                split_triple_sum(ctx, d)
+        with monkeypatch.context() as mp:
+            mp.setattr(decomposition, "_pair_offset", lambda ctx, vals: real_offset(ctx, vals) + 1)
+            with pytest.raises(AssertionError):
+                split_pair_sum(ctx, d)
 
 
 def test_pullbacks_satisfy_their_conditions():
@@ -905,6 +926,31 @@ def test_verify_factors_each_matrix_once(monkeypatch, maker, oracle, hnfs, walks
         assert len(walked) == walks
         hnf_counts[trials] = len(hnf_inputs)
     assert hnf_counts[5] == hnf_counts[50] == hnfs
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: circulant(7, [1, 2]), lambda: chain("cycle4", 11), lambda: circulant(21, [1, 2, 3])],
+    ids=["circulant(7,[1,2])", "chained_copies(cycle4,11)", "circulant(21,[1,2,3])"],
+)
+def test_sweep_decides_each_membership_once(monkeypatch, maker):
+    """A deterministic gate on repeated derivations: in a sweep each
+    trial's memberships are decided once, by their splits.  The rotation
+    constants are derived once per trial, the pair offset once per trial
+    and once more for each triple member's remainder, and each member's
+    split is checked once (one check per pair member and one per triple
+    member)."""
+    ctx = ctx_for(maker())
+    constants = _record_calls(monkeypatch, decomposition, "_rotation_constants", arg=1)
+    offsets = _record_calls(monkeypatch, decomposition, "_pair_offset", arg=1)
+    checks = _record_calls(monkeypatch, decomposition, "_check_split", arg=2)
+    sweep = decomposition.membership_sweep(ctx, 150, 7)
+    assert sweep.passed
+    pair, triple = sweep.computed["pair_members"], sweep.computed["triple_members"]
+    assert triple > 0
+    assert len(constants) == 150
+    assert len(offsets) == 150 + triple
+    assert len(checks) == pair + triple
 
 
 @pytest.mark.parametrize(
