@@ -9,26 +9,36 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from .intmatrix import IntMatrix, Lattice, _walk_log, int_tuple, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division over 2, 3 and 6k ± 1."""
+    """Prime factorization of n >= 1 by trial division over a 2·3·5·7 wheel.
+
+    After 2, 3, 5 and 7, the 48 residues mod 210 coprime to 210 are tried in
+    blocks of 64 turns capped at isqrt(n) + 1; only a block in which C finds
+    a divisor is walked, in increasing order.  The p·p > n stop and O(1) memory
+    stay: the time still grows with n's second-largest prime or √ of its largest.
+    """
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 5
-    while p * p <= n:
-        for q in (p, p + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
-        p += 6
+    walk, base, wheel = (2, 3, 5, 7), 0, ()
+    while True:
+        for p in walk:
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        if (base + 11) ** 2 > n:  # the next block holds base + 11 .. base + 64·210 + 10
+            break
+        wheel = wheel or [r for r in range(11, 221) if gcd(r, 210) == 1]
+        stop = min(base + 64 * 210 + 11, isqrt(n) + 1)
+        spans = [range(base + r, stop, 210) for r in wheel]
+        walk = sorted(p for s in spans for p in s) if any(0 in map(n.__mod__, s) for s in spans) else ()
+        base += 64 * 210
     if n > 1:
         out[n] = 1
     return out

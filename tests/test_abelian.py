@@ -19,6 +19,8 @@ from critgroups.abelian import (
     kernel_of_hom,
     lattice_quotient,
 )
+from critgroups.divisors import critical_group
+from critgroups.families import circulant, concentric_polygon
 from critgroups.intmatrix import IntMatrix, integer_kernel
 
 
@@ -76,6 +78,26 @@ def refolded_chain(moduli):
     return tuple(m for m in d if m != 1)
 
 
+def factorint_6k(n):
+    """Prime factorization by trial division over 2, 3 and 6k ± 1: the
+    route `_factorint` took before its 2·3·5·7 wheel and block scan."""
+    out = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    p = 5
+    while p * p <= n:
+        for q in (p, p + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        p += 6
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 # small primes, and primes of 17 to 20 bits that several moduli share
 CHAIN_PRIMES = (2, 3, 5, 7, 11, 13, 65537, 131101, 786433, 1048573)
 
@@ -118,6 +140,49 @@ def test_canonical_chain_finds_each_prime_once(monkeypatch):
     assert seen == [p * q, r]
 
 
+def is_prime(n):
+    return n > 1 and factorint_6k(n) == {n: 1}
+
+
+def next_prime(n):
+    return next(p for p in range(n + 1, 2 * n + 2) if is_prime(p))
+
+
+WHEEL_BLOCK = 64 * 210  # the width of `_factorint`'s block scan
+
+
+def test_factorint_matches_the_6k_reference_at_the_wheel_edges():
+    """The wheel's residues and block edges: a candidate skipped or a
+    block walked out of order shows as a composite reported prime or a
+    prime missed.  (13441 = 64·210 + 1 is prime, so 13441·13451 reads as
+    one prime if a block skips its residue 1.)"""
+    edge_primes = []
+    for k in range(1, 11):
+        e = k * WHEEL_BLOCK
+        near = [p for p in range(e - 60, e + 120) if is_prime(p)]
+        below = [p for p in near if p <= e][-2:]
+        above = [p for p in near if p > e + 11][:2]
+        assert len(below) == len(above) == 2
+        edge_primes += below + [p for p in near if e < p <= e + 11] + above
+    assert 13441 in edge_primes
+    residues = [r for r in range(210) if gcd(r, 210) == 1]
+    assert len(residues) == 48
+    # one prime of each residue class past the first block
+    class_primes = [
+        next(p for p in range(WHEEL_BLOCK + r, 10**6, 210) if is_prime(p)) for r in residues
+    ]
+    # every p² leaves p as the last candidate below the cap isqrt(n) + 1
+    products = [p * q for p, q in zip(edge_primes, map(next_prime, edge_primes))]
+    products += [p * next_prime(2 * p) for p in class_primes]
+    products += [p * p for p in edge_primes + class_primes]
+    # a composite candidate (121, 143, 221, ...) times a prime past it is
+    # never reported prime
+    composite = [c for c in range(121, 1000) if gcd(c, 210) == 1 and not is_prime(c)]
+    products += [c * 13451 for c in composite]
+    for n in [*range(1, 30000), *products]:
+        assert abelian._factorint(n) == factorint_6k(n), n
+
+
 def test_factorint_matches_sympy():
     sympy = pytest.importorskip("sympy")
     squares_and_cubes = [p**k for p in (5, 7, 11, 13, 17, 19) for k in (2, 3)]
@@ -130,7 +195,10 @@ def test_factorint_matches_sympy():
             n *= sympy.prevprime(rng.randrange(3, 2**20 + 1))
         if n.bit_length() <= 45:
             composites.append(n)
-    for n in [*range(1, 5000), *squares_and_cubes, *smooth, *composites]:
+    # the invariant factors of the compute ladder's largest instances
+    ladder = [concentric_polygon(64), circulant(128, [1, 2]), circulant(200, [1, 3])]
+    invariant = [d for g, _ in ladder for d in critical_group(g).group.factors]
+    for n in [*range(1, 5000), *squares_and_cubes, *smooth, *composites, *invariant]:
         assert abelian._factorint(n) == sympy.factorint(n), n
 
 
