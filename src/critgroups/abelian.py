@@ -109,10 +109,7 @@ def is_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
 
 
 def direct_sum(*groups: FinAbGroup) -> FinAbGroup:
-    moduli: list[int] = []
-    for g in groups:
-        moduli.extend(g.factors)
-    return FinAbGroup(tuple(moduli))
+    return FinAbGroup(tuple(m for g in groups for m in g.factors))
 
 
 class Cokernel:
@@ -163,16 +160,10 @@ class Cokernel:
             for row, d in zip(self._rows, self.moduli)
         )
 
-    def generator_lifts(self) -> list[list[int]]:
-        """Ambient vectors whose classes are the standard generators."""
-        return [list(lift) for lift in self._lifts]
-
     def quotient_by(self, vectors: Sequence[Sequence[int]]) -> "Cokernel":
         """This group modulo the subgroup generated by the classes of
         ambient vectors: the cokernel of [diag(d) | projected vectors]."""
-        coords = [self.project(v) for v in vectors]
-        relations = IntMatrix.diagonal(list(self.moduli))
-        return Cokernel(relations.hstack(IntMatrix.from_cols(coords, len(self.moduli))))
+        return _presented(self.moduli, [self.project(v) for v in vectors])
 
     def kernel_onto(self, quotient: "Cokernel") -> FinAbGroup:
         """H = ker(G -> G/H) for G/H = ``quotient`` from ``quotient_by``: e_i
@@ -185,8 +176,14 @@ class Cokernel:
         coords = int_tuple(coords, "coordinate")
         if len(coords) != len(self.moduli):
             raise ValueError("coordinate length mismatch")
-        orders = [d // gcd(d, c) for c, d in zip(coords, self.moduli)]
-        return lcm(*orders) if orders else 1
+        return lcm(*(d // gcd(d, c) for c, d in zip(coords, self.moduli)))
+
+
+def _presented(moduli: Sequence[int], columns: Sequence[Sequence[int]]) -> Cokernel:
+    """The cokernel of [diag(moduli) | columns]: the group with these
+    cyclic moduli modulo the subgroup the columns generate."""
+    relations = IntMatrix.diagonal(list(moduli))
+    return Cokernel(relations.hstack(IntMatrix.from_cols(columns, len(moduli))))
 
 
 def lattice_quotient(outer: IntMatrix, inner: IntMatrix) -> FinAbGroup:
@@ -247,4 +244,4 @@ def kernel_of_hom(h: GroupHom) -> FinAbGroup:
     """
     a, b = h.source_moduli, h.target_moduli
     dual = [[x * aj // bi for x, aj in zip(row, a)] for row, bi in zip(h.matrix.to_rows(), b)]
-    return Cokernel(IntMatrix.diagonal(list(a)).hstack(IntMatrix.from_cols(dual, len(a)))).group
+    return _presented(a, dual).group

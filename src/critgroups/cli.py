@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .actions import (
@@ -43,6 +44,16 @@ FAMILY_OPTIONS = {
     "intro": (),
     "chain": ("n", "base"),
 }
+
+
+def _int(text: str) -> int:
+    """An ASCII ``[+-]?[0-9]+``: ``int()`` also reads other scripts' digits, ``_`` and spaces."""
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's error names the type: "invalid int value: ..."
 
 
 def _emit(fmt: str, to_json, to_text) -> None:
@@ -157,8 +168,7 @@ def cmd_family(args) -> int:
         if args.name == "circulant":
             if args.n is None or not args.steps:
                 raise ValueError("circulant needs --n and --steps")
-            steps = [int(x) for x in args.steps.split(",")]
-            g, action = families.circulant(args.n, steps)
+            g, action = families.circulant(args.n, [_int(x) for x in args.steps.split(",")])
         elif args.name == "concentric":
             if args.n is None:
                 raise ValueError("concentric needs --n")
@@ -201,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run all decomposition checks on a graph with actions"
     )
     p_verify.add_argument("file")
-    p_verify.add_argument("--trials", type=int, default=25)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_int, default=25)
+    p_verify.add_argument("--seed", type=_int, default=0)
     p_verify.add_argument(
         "--oracle",
         action="store_true",
@@ -212,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="emit a named family as graph JSON")
     p_family.add_argument("name", choices=tuple(FAMILY_OPTIONS))
-    p_family.add_argument("--n", type=int)
+    p_family.add_argument("--n", type=_int)
     p_family.add_argument("--steps", help="comma-separated circulant steps")
     p_family.add_argument("--base", choices=CHAIN_BASE_NAMES, help="chain base graph")
     p_family.set_defaults(func=cmd_family)

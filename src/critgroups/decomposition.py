@@ -31,6 +31,7 @@ from .abelian import (
     Cokernel,
     FinAbGroup,
     GroupHom,
+    _presented,
     chain_text,
     direct_sum,
     is_isomorphic,
@@ -135,14 +136,14 @@ class DecompositionContext:
         if pair == self._pullback_map.matrix.cols:
             # Trivial rotation quotient group: the pair columns are all of them.
             return self.pullback_image
-        return self.cg._coker.kernel_onto(_image_quotient(self, pair))
+        return self.cg.kernel_onto(_image_quotient(self, pair))
 
     @cached_property
     def pullback_image(self) -> FinAbGroup:
         """Subgroup generated by all three pullback images, the kernel of
         the projection onto ``pullback_quotient``; its generators are
         ``all_pullback_generators()``."""
-        return self.cg._coker.kernel_onto(self.pullback_quotient)
+        return self.cg.kernel_onto(self.pullback_quotient)
 
     @cached_property
     def pullback_quotient(self) -> Cokernel:
@@ -182,9 +183,7 @@ class DecompositionContext:
 def _image_quotient(ctx: DecompositionContext, cols: int) -> Cokernel:
     """The critical group modulo the image of the first ``cols`` columns
     of the natural map: the cokernel of [diag(d) | those columns]."""
-    m = ctx._pullback_map.matrix
-    images = IntMatrix.from_rows([m.row(i)[:cols] for i in range(m.rows)], cols)
-    return Cokernel(IntMatrix.diagonal(list(ctx.cg.moduli)).hstack(images))
+    return _presented(ctx.cg.moduli, [ctx._pullback_map.matrix.col(j) for j in range(cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +486,7 @@ class CheckResult(NamedTuple):
     notes: Sequence[str] = ()
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "computed": self.computed,
-            "predicted": self.predicted,
-            "notes": list(self.notes),
-        }
+        return {**self._asdict(), "notes": list(self.notes)}
 
 
 def _gshape(g: FinAbGroup) -> list[int]:

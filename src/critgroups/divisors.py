@@ -1,13 +1,14 @@
 """The critical group of a connected multigraph, and divisor classes in it.
 
 A divisor is a sequence of int chip counts, one per vertex, returned as
-a tuple.  The critical group is the cokernel of the reduced Laplacian.
-A divisor class is always carried as an explicit divisor plus a
-projection into the group's own invariant-factor coordinates, and every
-question about classes is answered there: a divisor is principal
-exactly when its projection vanishes, and quotients are taken over the
-k invariant factors.  The tests and the ``--oracle`` sweep check
-principality against lattice membership in the firing lattice.
+a tuple.  The critical group is the ``Cokernel`` of the reduced
+Laplacian at vertex 0, over degree-zero divisors: its ``project`` and
+``quotient_by`` take a divisor and drop vertex 0's chip count.  Every
+question about classes is answered in the group's own invariant-factor
+coordinates: a divisor is principal exactly when its projection
+vanishes, and quotients are taken over the k invariant factors.  The
+tests and the ``--oracle`` sweep check principality against lattice
+membership in the firing lattice.
 """
 
 from __future__ import annotations
@@ -19,28 +20,19 @@ from .intmatrix import IntMatrix, int_tuple
 from .multigraph import DisconnectedGraphError, Multigraph, reduced_laplacian
 
 
-class CriticalGroupData:
-    """Critical group of a connected multigraph with projection data.
-
-    The root vertex is the lowest index; dropping its coordinate turns
-    degree-zero divisors into arbitrary integer vectors on the other
-    vertices, and the group is the cokernel of the reduced Laplacian.
-    """
+class CriticalGroupData(Cokernel):
+    """Critical group of a connected multigraph: the cokernel of the
+    reduced Laplacian at vertex 0, whose ambient vectors are degree-zero
+    divisors; dropping vertex 0's chip count makes them arbitrary integer
+    vectors on the other vertices."""
 
     def __init__(self, graph: Multigraph):
         if not graph.is_connected():
             raise DisconnectedGraphError("critical group needs a connected graph")
         self.graph = graph
-        self.root = 0
         # The empty graph has no root; its group is trivial.
-        n = graph.vertex_count
-        self.reduced = reduced_laplacian(graph, self.root) if n else IntMatrix(0, 0, [])
-        self._coker = Cokernel(self.reduced)
-        self.group = self._coker.group
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return self.group.factors
+        self.reduced = reduced_laplacian(graph, 0) if graph.vertex_count else IntMatrix(0, 0, [])
+        super().__init__(self.reduced)
 
     def _degree_zero(self, d: Sequence[int]) -> list[int]:
         """d's chip counts, checked: ints, one per vertex, summing to 0."""
@@ -52,23 +44,19 @@ class CriticalGroupData:
         return vals
 
     def _dropped(self, d: Sequence[int]) -> list[int]:
-        vals = self._degree_zero(d)
-        return vals[: self.root] + vals[self.root + 1 :]
+        return self._degree_zero(d)[1:]
 
     def project(self, d: Sequence[int]) -> tuple[int, ...]:
         """Class of a degree-zero divisor in invariant-factor coordinates."""
-        return self._coker.project(self._dropped(d))
+        return super().project(self._dropped(d))
 
     def order_of(self, d: Sequence[int]) -> int:
         """Order of the divisor class in the critical group."""
-        return self._coker.element_order(self.project(d))
+        return self.element_order(self.project(d))
 
     def generator_divisors(self) -> list[tuple[int, ...]]:
         """Divisors whose classes are the invariant-factor generators."""
-        return [
-            (*lift[: self.root], -sum(lift), *lift[self.root :])
-            for lift in self._coker.generator_lifts()
-        ]
+        return [(-sum(lift), *lift) for lift in self._lifts]
 
 
 def critical_group(g: Multigraph) -> CriticalGroupData:
@@ -85,12 +73,10 @@ def is_principal(cg: CriticalGroupData, d: Sequence[int]) -> bool:
 
 
 def subgroup_generated(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Structure of the subgroup generated by the classes of gens: the
-    kernel of the projection onto the quotient by them."""
-    return cg._coker.kernel_onto(quotient_by_subgroup(cg, gens))
+    """The subgroup the classes of gens generate: the kernel onto the quotient by them."""
+    return cg.kernel_onto(cg.quotient_by(gens))
 
 
 def quotient_by_subgroup(cg: CriticalGroupData, gens: Sequence[Sequence[int]]) -> Cokernel:
-    """Critical group modulo the subgroup generated by gens, as a
-    cokernel over the group's own invariant-factor coordinates."""
-    return cg._coker.quotient_by([cg._dropped(d) for d in gens])
+    """The critical group modulo the subgroup the classes of gens generate."""
+    return cg.quotient_by(gens)

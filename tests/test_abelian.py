@@ -244,7 +244,7 @@ def test_cokernel_examples_and_coordinates():
         psum = ck.project([x + y for x, y in zip(a, b)])
         assert psum == tuple((x + y) % d for (x, y), d in zip(zip(pa, pb), ck.moduli))
     # generator lifts hit the standard basis
-    for k, lift in enumerate(ck.generator_lifts()):
+    for k, lift in enumerate(ck._lifts):
         proj = ck.project(lift)
         assert proj == tuple(1 if i == k else 0 for i in range(len(ck.moduli)))
 

@@ -366,6 +366,49 @@ def test_family_shapes(capsys):
     assert doc["actions"]["sigma1"]["x1"] == "x2"
 
 
+def exit_and_stderr(capsys, *argv):
+    """main's exit code, including argparse's SystemExit, and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (("family", "concentric", "--n", "٤"), "'٤'"),
+        (("family", "circulant", "--n", "1_1", "--steps", "1,2"), "'1_1'"),
+        (("family", "circulant", "--n", "11", "--steps", " 1, 0_2"), "' 1'"),
+        (("family", "circulant", "--n", "11", "--steps", "1,0_2"), "'0_2'"),
+        (("family", "circulant", "--n", "11", "--steps", "1,٢"), "'٢'"),
+        (("family", "chain", "--n", " 3"), "' 3'"),
+        (("verify", "GRAPH", "--trials", "١٠", "--seed", "٣"), "'١٠'"),
+        (("verify", "GRAPH", "--seed", "٣"), "'٣'"),
+        (("verify", "GRAPH", "--seed", "1.0"), "'1.0'"),
+    ],
+    ids=[
+        "n_digit_four", "n_underscore", "steps_spaces", "steps_underscore", "steps_digit_two",
+        "n_space", "trials_and_seed_digits", "seed_digit_three", "seed_float",
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, tmp_path, argv, bad):
+    """--n, --trials, --seed and each --steps item read only [+-]?[0-9]+:
+    int() would read other scripts' digits, "_" and spaces, so these
+    spellings would build another graph or run with other settings."""
+    path = str(write_family(capsys, tmp_path, "klein"))
+    code, err = exit_and_stderr(capsys, *(path if a == "GRAPH" else a for a in argv))
+    assert code == 2
+    assert f"invalid int value: {bad}" in err and "Traceback" not in err
+
+
+def test_integer_options_keep_their_signs(capsys, tmp_path):
+    path = str(write_family(capsys, tmp_path, "klein"))
+    assert run(capsys, "verify", path, "--trials", "3", "--seed", "-1")[0] == 0
+    assert run(capsys, "family", "concentric", "--n", "+4") == run(capsys, "family", "concentric", "--n", "4")
+
+
 def test_family_errors(capsys):
     assert run(capsys, "family", "circulant", "--n", "4", "--steps", "2")[0] == 2
     assert run(capsys, "family", "chain")[0] == 2

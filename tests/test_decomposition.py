@@ -706,7 +706,7 @@ def firing_quotient_by_laplacian_solves(ctx):
     of the lattice gives the same group.  It uses no kernel argument
     about the Laplacian."""
     lap = laplacian(ctx.graph)
-    root = ctx.cg.root
+    root = 0  # the critical group's root vertex
     nv = ctx.graph.vertex_count
     firing = Lattice(ctx.cg.reduced)
 
@@ -869,7 +869,7 @@ def _projected_smith_forms(ctx, image_quotients):
     images (whose projections define the images as kernels)."""
     groups = (ctx.cg, *ctx.cg_h, ctx.cg_hat)
     cokernels = [ctx.divisor_quotient, *image_quotients]
-    return [cg._coker._snf for cg in groups] + [c._snf for c in cokernels]
+    return [cg._snf for cg in groups] + [c._snf for c in cokernels]
 
 
 VERIFY_GATE_INSTANCES = [

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from critgroups.abelian import Cokernel
 from critgroups.divisors import (
     critical_group,
     is_principal,
     quotient_by_subgroup,
     subgroup_generated,
 )
-from critgroups.families import circulant
+from critgroups.families import CHAIN_BASES, chained_copies, circulant, concentric_polygon
 from critgroups.intmatrix import Lattice
 from critgroups.multigraph import DisconnectedGraphError, Multigraph, laplacian, spanning_tree_count
 from critgroups.oracles import brute_force_spanning_trees
@@ -165,3 +166,47 @@ def test_firing_counts_must_be_ints():
     for counts in ((True, 0, 0), (1.0, 0, 0), ("1", 0, 0)):
         with pytest.raises(TypeError, match="is not an int"):
             laplacian(C3).apply(counts)
+
+
+def _family_graphs():
+    return [
+        circulant(7, [1, 2])[0],
+        concentric_polygon(4)[0],
+        chained_copies(*CHAIN_BASES["cycle4"], 5)[0],
+    ]
+
+
+def test_critical_group_is_the_cokernel_over_divisors():
+    """The critical group is the Cokernel of the reduced Laplacian at
+    vertex 0 whose ambient vectors are divisors: ``quotient_by`` takes
+    degree-zero divisors and gives the plain cokernel's quotient by the
+    same divisors with vertex 0 dropped."""
+    rng = random.Random(17)
+    nontrivial = 0
+    for g in _family_graphs():
+        cg = critical_group(g)
+        assert isinstance(cg, Cokernel)
+        gens = cg.generator_divisors()
+        for divs in ([], [random_zero_divisor(g, rng)], [[2 * x for x in gens[-1]]], gens[:-1]):
+            quotient = cg.quotient_by(divs)
+            assert quotient.group == Cokernel(cg.reduced).quotient_by([d[1:] for d in divs]).group
+            nontrivial += not quotient.group.is_trivial()
+    assert nontrivial >= 6
+
+
+def test_quotient_by_refuses_what_is_not_a_degree_zero_divisor():
+    """A vector with vertex 0 already dropped (V - 1 entries) is not
+    read as a divisor, and a divisor of nonzero degree has no class."""
+    for g in _family_graphs():
+        cg = critical_group(g)
+        v = g.vertex_count
+        with pytest.raises(ValueError, match="divisor length differs from vertex count"):
+            cg.quotient_by([[1, -1] + [0] * (v - 3)])
+        with pytest.raises(ValueError, match="degree-zero"):
+            cg.quotient_by([[1] + [0] * (v - 1)])
+
+
+@pytest.mark.parametrize("g", [Multigraph.from_edges(0, []), Multigraph.from_edges(1, [])], ids=["empty", "one_vertex"])
+def test_trivial_groups_have_no_generator_divisors(g):
+    cg = critical_group(g)
+    assert (cg.moduli, cg.generator_divisors()) == ((), [])

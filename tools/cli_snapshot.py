@@ -13,7 +13,7 @@ no report carries an absolute path.  Two checkouts compare with
     python3 B/tools/cli_snapshot.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The run set (104 runs):
+The run set (107 runs):
   * ``--format json compute`` on the 20 family graphs and the two
     looped graphs (a triangle and a 4-cycle with one loop per vertex);
   * three verify runs on the 10 verify-ladder / sweep-oracle instances
@@ -60,7 +60,11 @@ The run set (104 runs):
   * ``critgroups --help`` and ``compute``/``verify``/``family --help``;
   * three ``family`` runs given an option that family does not read,
     each refused (exit 2): ``klein --n 5``, ``concentric --n 4 --steps
-    1,2 --base path`` and ``circulant --n 7 --steps 1,2 --base edge``.
+    1,2 --base path`` and ``circulant --n 7 --steps 1,2 --base edge``;
+  * three runs whose integers are not ASCII decimals, each refused
+    (exit 2) where ``int()`` would read them: ``family concentric --n
+    ٤`` (Arabic-Indic four), ``family circulant --n 1_1 --steps " 1,
+    0_2"`` and ``verify --trials ١٠ --seed ٣`` on ``klein``.
 
 Each branch of ``DecompositionContext.closed_forms`` reaches a report:
 odd n with trivial K(Ĝ) on ``circulant(7,[1,2])``, odd n with
@@ -312,6 +316,11 @@ def run_set() -> list[tuple[str, ...]]:
         ("family", "klein", "--n", "5"),
         ("family", "concentric", "--n", "4", "--steps", "1,2", "--base", "path"),
         ("family", "circulant", "--n", "7", "--steps", "1,2", "--base", "edge"),
+    ]
+    runs += [
+        ("family", "concentric", "--n", "٤"),
+        ("family", "circulant", "--n", "1_1", "--steps", " 1, 0_2"),
+        ("verify", file_name("klein"), "--trials", "١٠", "--seed", "٣"),
     ]
     return runs
 
