@@ -12,6 +12,7 @@ checks passed), 1 verification failure, 2 parse or parameter error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -234,5 +235,16 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run() -> int:
+    """The process entry point: ``main()``, then ``gc.freeze()`` (also on
+    argparse's ``SystemExit``), so the full collections at exit skip
+    every object.  In-process callers use ``main``, which leaves their
+    collector as it was."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

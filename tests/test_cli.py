@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, formats, and round trips."""
 
+import gc
 import json
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from critgroups import cli
 from critgroups.cli import CHAIN_BASE_NAMES, main
 from critgroups.decomposition import DecompositionContext, DecompositionReport, run_all_checks
 from critgroups.divisors import CriticalGroupData
@@ -477,6 +481,74 @@ def test_verify_loads_the_oracles_only_on_request(capsys, tmp_path, fresh_python
     assert loaded.isdisjoint({"critgroups.families", "critgroups.oracles"})
     loaded = loaded_after_main(fresh_python, "verify", str(path), "--trials", "2", "--oracle")
     assert "critgroups.oracles" in loaded
+
+
+def test_main_leaves_the_collector_unfrozen(capsys, tmp_path):
+    """In process, main neither freezes the host's collector nor thaws it."""
+    path = write_family(capsys, tmp_path, "klein")
+    before = gc.get_freeze_count()
+    assert run(capsys, "compute", str(path))[0] == 0
+    assert run(capsys, "verify", str(path), "--trials", "2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--trials", "x"])
+    assert exc.value.code == 2
+    assert gc.get_freeze_count() == before
+
+
+def entry_point(fresh_python, call, *argv):
+    """(stdout, exit code, objects frozen after it) of a fresh interpreter
+    that runs ``call`` with ``sys.argv`` set to critgroups ``argv``."""
+    out = fresh_python(
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['critgroups', *{list(argv)!r}]\n"
+        "try:\n"
+        f"{textwrap.indent(call, '    ')}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, gc.get_freeze_count())"
+    )
+    *lines, last = out.split("\n")[:-1]
+    code, frozen = map(int, last.split())
+    return "".join(f"{line}\n" for line in lines), code, frozen
+
+
+MAIN = "from critgroups.cli import main\ncode = main()"
+RUN = "from critgroups.cli import run\ncode = run()"
+
+
+def test_run_freezes_the_collector_as_main_returns(capsys, tmp_path, fresh_python):
+    """run() is main() and then gc.freeze(): the same output and exit
+    code, with every object left frozen, so the interpreter's collections
+    at exit have nothing to traverse; argparse's exit is covered too."""
+    path = write_family(capsys, tmp_path, "klein")
+    compute = ["--format", "json", "compute", str(path)]
+    usage_error = ["verify", str(path), "--trials", "x"]
+    outputs = {}
+    for argv in (compute, usage_error):
+        out, code, frozen = entry_point(fresh_python, MAIN, *argv)
+        assert frozen == 0
+        ran_out, ran_code, ran_frozen = entry_point(fresh_python, RUN, *argv)
+        assert (ran_out, ran_code) == (out, code)
+        assert ran_frozen > 0
+        outputs[code] = out
+    assert json.loads(outputs[0])["order"] == 32
+    assert outputs[2] == ""
+
+
+def test_every_process_entry_point_is_run(capsys, tmp_path, fresh_python):
+    """python -m critgroups, cli.py's __main__ guard and the installed
+    critgroups script all go through run()."""
+    path = write_family(capsys, tmp_path, "klein")
+    argv = ("--format", "json", "compute", str(path))
+    expected = entry_point(fresh_python, MAIN, *argv)[:2]
+    for module in ("critgroups", "critgroups.cli"):
+        out, code, frozen = entry_point(fresh_python, f"runpy.run_module({module!r}, run_name='__main__')", *argv)
+        assert (out, code) == expected
+        assert frozen > 0, module
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"critgroups": "critgroups.cli:run"}
 
 
 def test_graph_json_round_trip():

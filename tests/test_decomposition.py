@@ -460,20 +460,21 @@ LOOP_INSTANCES = {
 }
 
 
+def with_loops(g, act):
+    """(g, act) with one loop added at every vertex."""
+    looped = Multigraph.from_edges(
+        g.vertex_count, list(g.edges) + [(v, v) for v in range(g.vertex_count)], g.labels
+    )
+    return looped, actions.DihedralAction.build(looped, act.sigma1, act.sigma2)
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_INSTANCES))
 def test_loops_leave_the_report_unchanged(name):
     """Chip-firing cannot see loops, so one loop at every vertex changes
     no group, quotient or check."""
     g, act = LOOP_INSTANCES[name]()
-    looped = Multigraph.from_edges(
-        g.vertex_count, list(g.edges) + [(v, v) for v in range(g.vertex_count)], g.labels
-    )
     plain = run_all_checks(DecompositionContext(g, act), trials=30, seed=5)
-    loops = run_all_checks(
-        DecompositionContext(looped, actions.DihedralAction.build(looped, act.sigma1, act.sigma2)),
-        trials=30,
-        seed=5,
-    )
+    loops = run_all_checks(DecompositionContext(*with_loops(g, act)), trials=30, seed=5)
     assert plain.passed
     assert loops.to_json() == plain.to_json()
 
