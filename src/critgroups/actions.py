@@ -254,7 +254,9 @@ class OrbitLabeling(NamedTuple):
       pinned, flipped: r1(z_i) = z_{n+2-i}   r2(z_i) = z_{n+3-i}
 
     ``generators_swapped`` tells whether (r1, r2) is (sigma2, sigma1)
-    rather than the action's given order.
+    rather than the action's given order.  ``_strand_pairs`` is where the
+    table is read, as one rule for the self-check, the pullback
+    conditions and the pair split.
     """
 
     n: int
@@ -280,20 +282,25 @@ def _reflect(i: int, n: int, c: int) -> int:
     return (n + c - 2 - i) % n
 
 
+def _strand_pairs(lab: OrbitLabeling) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every labeled orbit as (a, b, shift), free orbits first: the
+    reflection of constant c sends a_i to b at ``_reflect(i, n, c + shift)``,
+    and b back to a.  A free orbit is (x, y, 0), a pinned one (z, z, flipped)."""
+    free = [(orb.xrow, orb.yrow, 0) for orb in lab.free]
+    return free + [(orb.row, orb.row, int(orb.flipped)) for orb in lab.pinned]
+
+
 def _verify_labeling(r1: Perm, r2: Perm, lab: OrbitLabeling) -> None:
     """Raise AssertionError unless r1 and r2 act on every labeled row by
     the reflections of the ``OrbitLabeling`` table: c = 1 for r1 and 2
-    for r2, one more on a flipped row."""
+    for r2, one more on a flipped row.  Both directions, a to b and b to
+    a, are read: an action not made by ``build`` may hold a non-involution."""
     n = lab.n
     for c, r in ((1, r1), (2, r2)):
-        for orb in lab.free:
-            for a, b in ((orb.xrow, orb.yrow), (orb.yrow, orb.xrow)):
-                if any(r[a[i]] != b[_reflect(i, n, c)] for i in range(n)):
-                    raise AssertionError(f"r{c} free strand equation")
-        for orb in lab.pinned:
-            zs = orb.row
-            if any(r[zs[i]] != zs[_reflect(i, n, c + orb.flipped)] for i in range(n)):
-                raise AssertionError(f"r{c} pinned equation")
+        for a, b, shift in _strand_pairs(lab):
+            for p, q in ((a, b), (b, a)):
+                if any(r[p[i]] != q[_reflect(i, n, c + shift)] for i in range(n)):
+                    raise AssertionError(f"r{c} {'pinned' if a is b else 'free strand'} equation")
 
 
 def classify_dihedral_orbits(g: Multigraph, action: DihedralAction) -> OrbitLabeling:

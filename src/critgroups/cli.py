@@ -6,7 +6,7 @@
 
 Global --format text|json.  Exit codes: 0 success (and, for verify, all
 checks passed), 1 verification failure, 2 parse or parameter error,
-3 disconnected graph, 4 orbit/labeling error, 5 non-harmonic action.
+3 disconnected graph file, 4 orbit/labeling error, 5 non-harmonic action.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ EXIT_NONHARMONIC = 5
 # family code; tests/test_cli.py checks that they agree.
 CHAIN_BASE_NAMES = ("edge", "path", "cycle4")
 
-# The options each family reads; ``family`` refuses any other.
+# The options each family reads; ``family`` refuses any other, and needs
+# each one but ``base`` (an empty --steps is a missing one).
 FAMILY_OPTIONS = {
     "circulant": ("n", "steps"),
     "concentric": ("n",),
@@ -163,24 +164,22 @@ def cmd_family(args) -> int:
         if getattr(args, opt) is not None and opt not in FAMILY_OPTIONS[args.name]:
             print(f"error: family {args.name} takes no --{opt}", file=sys.stderr)
             return EXIT_PARSE
+    needs = [opt for opt in FAMILY_OPTIONS[args.name] if opt != "base"]
+    if any(getattr(args, opt) in (None, "") for opt in needs):
+        print(f"error: {args.name} needs " + " and ".join(f"--{opt}" for opt in needs), file=sys.stderr)
+        return EXIT_PARSE
     from . import families
 
     try:
         if args.name == "circulant":
-            if args.n is None or not args.steps:
-                raise ValueError("circulant needs --n and --steps")
             g, action = families.circulant(args.n, [_int(x) for x in args.steps.split(",")])
         elif args.name == "concentric":
-            if args.n is None:
-                raise ValueError("concentric needs --n")
             g, action = families.concentric_polygon(args.n)
         elif args.name == "klein":
             g, action = families.klein_example()
         elif args.name == "intro":
             g, action = families.intro_counterexample()
         else:  # chain
-            if args.n is None:
-                raise ValueError("chain needs --n")
             base, phi, a, b = families.CHAIN_BASES[args.base or "edge"]
             g, action = families.chained_copies(base, phi, a, b, args.n)
     except NonHarmonicError as exc:

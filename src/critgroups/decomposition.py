@@ -43,6 +43,7 @@ from .actions import (
     _dihedral_offender,
     _reflect,
     _refuse_offender,
+    _strand_pairs,
     classify_dihedral_orbits,
 )
 from .divisors import CriticalGroupData, critical_group, is_principal
@@ -88,6 +89,11 @@ class DecompositionContext:
         """The orbit labeling; its first read raises OrbitSizeError or
         LabelingImpossibleError where there is none."""
         return classify_dihedral_orbits(self.graph, self.action)
+
+    @cached_property
+    def _strand_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """``actions._strand_pairs`` of the labeling, built once."""
+        return _strand_pairs(self.labeling)
 
     # -- quotient plumbing ------------------------------------------------
 
@@ -197,9 +203,9 @@ def pullback_conditions(ctx: DecompositionContext, d: Sequence[int], i: int) -> 
     itself; the two routes are cross-checked in the tests.  For the
     rotation subgroup d must be constant on every labeled row.  For an
     involution d must agree across each pair its index reflection swaps
-    (c = role, one more on a flipped row) and be even where that
-    reflection fixes a vertex, since a fixed vertex has horizontal
-    multiplicity 2.
+    (c = role, read through ``_strand_pairs``) and be even where that
+    reflection fixes a vertex of a pinned row, since a fixed vertex has
+    horizontal multiplicity 2.
     """
     vals = ctx.cg._degree_zero(d)
     n = ctx.n
@@ -207,14 +213,10 @@ def pullback_conditions(ctx: DecompositionContext, d: Sequence[int], i: int) -> 
     role = ctx._role_of(i)
     if role == 3:
         return all(len({vals[v] for v in row}) == 1 for row in _labeled_rows(lab))
-    for orb in lab.free:
-        if any(vals[orb.xrow[k]] != vals[orb.yrow[_reflect(k, n, role)]] for k in range(n)):
-            return False
-    for orb in lab.pinned:
-        zs = orb.row
+    for a, b, shift in ctx._strand_pairs:
         for k in range(n):
-            k2 = _reflect(k, n, role + orb.flipped)
-            if vals[zs[k]] != vals[zs[k2]] or (k2 == k and vals[zs[k]] % 2):
+            k2 = _reflect(k, n, role + shift)
+            if vals[a[k]] != vals[b[k2]] or (k2 == k and a is b and vals[a[k]] % 2):
                 return False
     return True
 
@@ -231,18 +233,13 @@ def _weighted_base(ctx: DecompositionContext, vals: list[int]) -> tuple[int, int
     return weighted_total(ctx.labeling, vals) - total // 2, seeds
 
 
-def _pinned_rows_even(ctx: DecompositionContext, vals: list[int]) -> bool:
-    return all(sum(vals[v] for v in orb.row) % 2 == 0 for orb in ctx.labeling.pinned)
-
-
 def _pair_offset(ctx: DecompositionContext, vals: list[int]) -> int | None:
     """The additive constant of the first summand of the split through
     the two involutions, or None when vals is not a sum of their pullbacks."""
-    for orb in ctx.labeling.free:
-        if sum(vals[v] for v in orb.xrow) != sum(vals[v] for v in orb.yrow):
+    for a, b, _ in ctx._strand_pairs:
+        total = sum(vals[v] for v in a)
+        if total != sum(vals[v] for v in b) or (a is b and total % 2):
             return None
-    if not _pinned_rows_even(ctx, vals):
-        return None
     base, fl_seeds = _weighted_base(ctx, vals)
     offset, rem = divmod(base, ctx.n)
     return None if rem else offset + fl_seeds
@@ -291,7 +288,7 @@ def _rotation_constants(ctx: DecompositionContext, vals: list[int]) -> list[int]
         if weighted_total(lab, vals) % n != 0:
             return None
     else:
-        if not _pinned_rows_even(ctx, vals):
+        if any(sum(vals[v] for v in orb.row) % 2 for orb in lab.pinned):
             return None
         rho_fl = _triple_feasible(ctx, _weighted_base(ctx, vals)[0], excess)
         if rho_fl is None:
@@ -339,35 +336,31 @@ def split_pair_sum(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Write d as a sum of pullbacks through the two involutions.
 
-    Uses running-sum formulas per orbit; the one free additive constant
-    is fixed by forcing the first summand to have degree zero.  Returns
-    None when the membership conditions fail.
+    The first summand A, invariant under the first generator's
+    reflection, is one running sum on every strand pair (a, b, shift):
+    A_i = A_0 + sum_{k=1..i} (d[a_k] - d[b at _reflect(k, n, 2 + shift)]),
+    and a free orbit's y strand is A reflected by the first generator.
+    A_0 holds the seed's own chips unless the row is flipped; the first
+    orbit's also holds the one free constant, which gives the first
+    summand degree zero.  Returns None when the membership conditions fail.
     """
     vals = ctx.cg._degree_zero(d)
     offset = _pair_offset(ctx, vals)
     if offset is None:
         return None
     n = ctx.n
-    lab = ctx.labeling
     rows = []
-    for j, orb in enumerate(lab.free):
-        a = offset if j == 0 else 0
-        dy = [vals[v] for v in orb.yrow]
-        px = list(accumulate(vals[v] for v in orb.xrow))
-        xout = [px[i] - sum(dy[n - i :]) + a for i in range(n)]
-        rows += [xout, [xout[_reflect(i, n, 1)] for i in range(n)]]
-    for j, orb in enumerate(lab.pinned):
-        b = 2 * offset if j == 0 and lab.t == 0 else 0
-        dz = [vals[v] for v in orb.row]
-        pz = list(accumulate(dz))
-        if not orb.flipped:
-            rows.append([pz[i] - sum(dz[n - i :]) + b for i in range(n)])
-        else:
-            total = sum(dz)
-            rows.append([b] + [b + pz[i] - 2 * dz[0] - (total - pz[n - i]) for i in range(1, n)])
+    for j, (a, b, shift) in enumerate(ctx._strand_pairs):
+        start = 0 if shift else vals[a[0]]
+        if j == 0:
+            start += offset * (2 if a is b else 1)
+        steps = (vals[a[k]] - vals[b[_reflect(k, n, 2 + shift)]] for k in range(1, n))
+        rows.append(list(accumulate(steps, initial=start)))
+        if a is not b:
+            rows.append([rows[-1][_reflect(i, n, 1)] for i in range(n)])
     first = _place_rows(ctx, rows)
     d1 = tuple(first)
-    d2 = tuple(a - b for a, b in zip(vals, first))
+    d2 = tuple(v - f for v, f in zip(vals, first))
     if ctx.labeling.generators_swapped:
         d1, d2 = d2, d1
     _check_split(ctx, (d1, d2), vals)

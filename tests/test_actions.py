@@ -558,6 +558,33 @@ def test_labeling_self_check_rejects_swapped_generators():
     assert checked >= 20
 
 
+def test_labeling_self_check_reads_both_strand_directions():
+    """An r1 that meets every x -> y strand equation but sends two y
+    vertices to each other's images is refused: the self-check reads
+    b -> a as well as a -> b, so it does not lean on r1 being an
+    involution, which an action not made by ``build`` need not be."""
+    checked = 0
+    for g, act in _family_actions():
+        try:
+            lab = classify_dihedral_orbits(g, act)
+        except OrbitSizeError:
+            continue
+        if not lab.free:
+            continue
+        r1, r2 = (act.sigma2, act.sigma1) if lab.generators_swapped else (act.sigma1, act.sigma2)
+        ys = lab.free[-1].yrow
+        bent = list(r1)
+        bent[ys[0]], bent[ys[1]] = r1[ys[1]], r1[ys[0]]
+        assert sorted(bent) == sorted(r1) and compose(bent, bent) != identity_perm(len(r1))
+        assert all(bent[x] == r1[x] for orb in lab.free for x in orb.xrow)
+        assert all(bent[z] == r1[z] for orb in lab.pinned for z in orb.row)
+        _verify_labeling(r1, r2, lab)
+        with pytest.raises(AssertionError, match="^r1 free strand equation$"):
+            _verify_labeling(tuple(bent), r2, lab)
+        checked += 1
+    assert checked >= 4  # the concentric polygons
+
+
 def test_labeling_self_check_survives_optimize(fresh_python):
     """``python -O`` strips assert statements; the labeling self-check
     must raise all the same."""

@@ -419,6 +419,30 @@ def test_family_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("circulant",), "circulant needs --n and --steps"),
+        (("circulant", "--n", "7"), "circulant needs --n and --steps"),
+        (("circulant", "--n", "7", "--steps", ""), "circulant needs --n and --steps"),
+        (("circulant", "--steps", "1,2"), "circulant needs --n and --steps"),
+        (("concentric",), "concentric needs --n"),
+        (("chain",), "chain needs --n"),
+        (("chain", "--base", "path"), "chain needs --n"),
+        (("circulant", "--n", "0", "--steps", "1"), "circulant needs n >= 3"),
+        (("concentric", "--n", "0"), "concentric polygon needs n >= 3"),
+        (("chain", "--n", "0"), "need at least two copies"),
+        (("circulant", "--n", "4", "--steps", "2"), "circulant with steps [2] on 4 vertices is disconnected"),
+    ],
+)
+def test_family_names_what_it_needs(capsys, argv, message):
+    """Every option a family reads but --base is required, and an empty
+    --steps is a missing one; --n 0 is given, so the family's own
+    constructor refuses it, and so is a disconnected circulant (exit 2:
+    exit 3 is for graph files)."""
+    assert run(capsys, "family", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,option",
     [
         (("klein", "--n", "5"), "--n"),

@@ -207,6 +207,23 @@ def cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_a_non_involutive_sigma_table_exits_2(document_path, fmt):
+    """sigma1 is a 3-cycle of a triangle: an automorphism, but not an
+    involution, so the document is refused by every command."""
+    doc = {
+        "vertices": ["a", "b", "c"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+        "actions": {"sigma1": {"a": "b", "b": "c", "c": "a"}, "sigma2": {"a": "a", "b": "c", "c": "b"}},
+    }
+    document_path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["compute", str(document_path)], ["verify", str(document_path), "--trials", "3"]):
+        code, out, err = cli("--format", fmt, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert "not an involution" in err
+
+
 @settings(
     derandomize=True,
     database=None,

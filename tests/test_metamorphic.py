@@ -16,14 +16,18 @@ that needs no second algorithm.
     not such an answer: the pullback-sum lattice need not hold the
     Laplacian's columns, and adding L·x can move a divisor into it or
     out of it.
+  * Running through the CLI changes nothing: a JSON ``verify`` or
+    ``compute`` prints the in-process result.
 """
 
 import copy
+import json
 import random
 
 import pytest
 
 from critgroups.actions import DihedralAction
+from critgroups.cli import main
 from critgroups.decomposition import (
     DecompositionContext,
     random_degree_zero,
@@ -31,10 +35,11 @@ from critgroups.decomposition import (
     triple_sum_conditions,
     triple_sum_matrix,
 )
+from critgroups.divisors import critical_group
 from critgroups.families import CHAIN_BASES, chained_copies, circulant, concentric_polygon, klein_example
 from critgroups.intmatrix import Lattice
 from critgroups.jsonio import graph_from_json, graph_to_json
-from critgroups.multigraph import laplacian
+from critgroups.multigraph import laplacian, spanning_tree_count
 from test_decomposition import LOOP_INSTANCES, hub_chain, with_loops
 
 # Five families (circulants, concentric polygons, K_{2,4}, chains of
@@ -104,6 +109,26 @@ def test_loops_leave_the_report_unchanged(name):
     plain = run_all_checks(DecompositionContext(g, action), trials=30, seed=5)
     loops = run_all_checks(DecompositionContext(*with_loops(g, action)), trials=30, seed=5)
     assert loops.to_json() == plain.to_json()
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_cli_prints_the_in_process_result(name, tmp_path, capsys):
+    g, action = INSTANCES[name]()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_to_json(g, action)), encoding="utf-8")
+    file = str(path)
+    expected = run_all_checks(DecompositionContext(g, action), 20, 3, graph_name=file).to_json()
+    code = main(["--format", "json", "verify", file, "--trials", "20", "--seed", "3"])
+    assert json.loads(capsys.readouterr().out) == expected
+    assert code == (0 if expected["passed"] else 1)
+    group = critical_group(g).group
+    assert main(["--format", "json", "compute", file]) == 0
+    trees = spanning_tree_count(g)
+    assert json.loads(capsys.readouterr().out) == {
+        "invariant_factors": list(group.factors),
+        "order": group.order,
+        "spanning_trees": trees,
+    }
 
 
 def exchanged(doc):
